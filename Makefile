@@ -114,10 +114,14 @@ lint:
 # engine: every experiment test forces the concurrent worker-pool path, and
 # the determinism test runs the sharded engine's worker goroutines under the
 # detector, so this catches data races in shared caches, models, the metrics
-# pipeline, and the per-tick shard fan-out. verify and the obs coverage
-# floor ride along so one target stays the pre-merge gate.
+# pipeline, and the per-tick shard fan-out. The determinism test repeats ten
+# times because a race between shard workers shows only on the schedules
+# that interleave them, and the packages whose code runs on shard workers
+# (the plant and the two ShardTicker controllers) rerun uncached. verify and
+# the obs coverage floor ride along so one target stays the pre-merge gate.
 race: verify cover
-	$(GO) test -race -count=1 -run 'TestShardDeterminism' ./internal/sim
+	$(GO) test -race -count=10 -run 'TestShardDeterminism' ./internal/sim
+	$(GO) test -race -count=1 ./internal/cluster ./internal/controllers/ec ./internal/controllers/vmec
 	$(GO) test -race ./...
 
 bench:

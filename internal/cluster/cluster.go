@@ -414,20 +414,25 @@ func (c *Cluster) Capacity(i int) float64 {
 	return c.model[i].Capacity(c.pstate[i])
 }
 
-// invalidateStats is the single place the stats cache is invalidated; every
-// mutator funnels through it (directly or via markDirty).
+// invalidateStats is the single place the stats cache is invalidated. Only
+// mutators that change a FleetStats input call it: a server's on flag,
+// power, or static cap, an enclosure's power (RestoreState), or the budget
+// hierarchy. The P-state is not an input — sensors only move at the next
+// Advance, which rebuilds the cache anyway — so SetPState leaves the
+// cluster-wide flag alone and is safe on concurrent shard workers.
 func (c *Cluster) invalidateStats() { c.statsValid = false }
 
 // markDirty records that server i's plant inputs changed, forcing the next
-// Advance to re-evaluate it (and invalidating the stats cache).
-func (c *Cluster) markDirty(i int) {
-	c.dirty[i] = true
-	c.invalidateStats()
-}
+// Advance to re-evaluate it. It writes server i's own flag and nothing
+// shared, so ShardTicker controllers may reach it (through SetPState) from
+// concurrent shard workers; mutators that also change a FleetStats input
+// call invalidateStats themselves.
+func (c *Cluster) markDirty(i int) { c.dirty[i] = true }
 
 // markAllDirty forces the next Advance to re-evaluate every server and
 // rebuild the demand block cache (the fleet-wide mutators that land here —
 // ScaleDemand, RestoreState — are exactly the ones that may rewrite traces).
+// It runs serially and may change any input, so it drops the stats cache too.
 func (c *Cluster) markAllDirty() {
 	c.dcBase = -1
 	for i := range c.dirty {
@@ -474,6 +479,7 @@ func (c *Cluster) SetSensorReadings(i int, util, realUtil, power float64) {
 	c.realUtil[i] = realUtil
 	c.power[i] = power
 	c.markDirty(i)
+	c.invalidateStats()
 }
 
 // SetModel swaps one server's hardware calibration (heterogeneous clusters)
@@ -573,6 +579,7 @@ func (c *Cluster) forceOff(server int) {
 	c.util[server], c.realUtil[server], c.demandSum[server] = 0, 0, 0
 	c.power[server] = c.model[server].OffWatts
 	c.markDirty(server)
+	c.invalidateStats()
 }
 
 // PowerOn brings a server up at full frequency with a fresh control state.
@@ -580,6 +587,7 @@ func (c *Cluster) PowerOn(server int) {
 	c.on[server] = true
 	c.pstate[server] = 0
 	c.markDirty(server)
+	c.invalidateStats()
 }
 
 // ScaleDemand multiplies every VM's demand trace by factor, in place — the
@@ -650,6 +658,10 @@ func (c *Cluster) Advance(tick int) {
 // evaluates the units serially. Units touch disjoint state and the reduction
 // happens after run returns, so the results are bitwise identical to the
 // serial Advance regardless of scheduling.
+//
+// On the ticks that refill the demand block cache (one in demandBlockTicks)
+// the transpose is dispatched through run first, over disjoint VM ranges;
+// the unit evaluation is always the last dispatch of the call.
 func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 	c.ensureUnits()
 	c.LastTick = tick
@@ -660,7 +672,7 @@ func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 	}
 	// Fill the demand row before dispatch: units then share it read-only, so
 	// the sharded path never races on the cache.
-	row := c.demandRow(tick)
+	row := c.demandRow(tick, run)
 	var t1 int64
 	if rec != nil {
 		t1 = rec.Now()
@@ -701,49 +713,61 @@ func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 	c.statsValid = true
 }
 
-// advanceUnit evaluates one unit's servers and accumulates its partial of the
-// fleet aggregate. Units are disjoint, so concurrent calls with distinct u
-// never race.
-//
-// The dirty-set fast path: a powered server that no mutator touched, whose
-// P-state is the one the sensor columns were computed under and whose fD
-// carries the previous tick's exact bits, keeps its sensors and skips the
-// model evaluation. Everything the aggregate needs is still accumulated per
-// server and per VM, in the same order and from the same values a full
-// evaluation would produce — the skip cannot change a single result bit.
 // demandBlockTicks is the number of ticks transposed per demand-cache fill.
 // 32 amortizes the scattered per-trace reads well while keeping the cache at
 // 32 rows x len(VMs) columns (25 MB at 100k VMs).
 const demandBlockTicks = 32
 
 // demandRow returns the raw per-VM demand for one tick, indexed by VM ID,
-// filling the block cache when the tick falls outside it.
-func (c *Cluster) demandRow(tick int) []float64 {
+// filling the block cache (through run, when non-nil) when the tick falls
+// outside it.
+func (c *Cluster) demandRow(tick int, run func(n int, fn func(u int))) []float64 {
 	if c.dcBase < 0 || tick < c.dcBase || tick >= c.dcBase+demandBlockTicks {
-		c.fillDemand(tick)
+		c.fillDemand(tick, run)
 	}
 	n := len(c.VMs)
 	off := (tick - c.dcBase) * n
 	return c.dcData[off : off+n]
 }
 
+// fillTile is the transpose tile width in VMs, and fillChunk the VMs one
+// dispatched fill item covers: a whole number of tiles, so no tile straddles
+// two workers.
+const (
+	fillTile  = 32
+	fillChunk = 32 * fillTile
+)
+
 // fillDemand transposes the next demandBlockTicks ticks of every trace into
-// tick-major rows. The transpose is tiled so both sides stay cache-resident:
-// each trace contributes a short sequential run of samples, and each row is
-// written in short sequential segments.
-func (c *Cluster) fillDemand(tick int) {
+// tick-major rows. A nil run fills serially; otherwise the VMs are split into
+// fillChunk-wide ranges dispatched through run. Ranges write disjoint columns
+// of the rows and each cell gets the exact bits Trace.At returns, so the
+// split cannot change a value.
+func (c *Cluster) fillDemand(tick int, run func(n int, fn func(u int))) {
 	n := len(c.VMs)
 	if cap(c.dcData) < demandBlockTicks*n {
 		c.dcData = make([]float64, demandBlockTicks*n)
 	}
 	c.dcData = c.dcData[:demandBlockTicks*n]
 	c.dcBase = tick
-	const tile = 32
-	for i0 := 0; i0 < n; i0 += tile {
-		i1 := i0 + tile
-		if i1 > n {
-			i1 = n
-		}
+	if run == nil {
+		c.fillDemandRange(tick, 0, n)
+		return
+	}
+	run((n+fillChunk-1)/fillChunk, func(k int) {
+		lo := k * fillChunk
+		c.fillDemandRange(tick, lo, min(lo+fillChunk, n))
+	})
+}
+
+// fillDemandRange transposes VMs [lo,hi) into the block cache. The transpose
+// is tiled so both sides stay cache-resident: each trace contributes a short
+// sequential run of samples, and each row is written in short sequential
+// segments.
+func (c *Cluster) fillDemandRange(tick, lo, hi int) {
+	n := len(c.VMs)
+	for i0 := lo; i0 < hi; i0 += fillTile {
+		i1 := min(i0+fillTile, hi)
 		for i := i0; i < i1; i++ {
 			tr := c.VMs[i].Trace
 			for j := 0; j < demandBlockTicks; j++ {
@@ -753,9 +777,21 @@ func (c *Cluster) fillDemand(tick int) {
 	}
 }
 
+// advanceUnit evaluates one unit's servers and stores its partial of the
+// fleet aggregate in c.partials[u]. Units are disjoint, so concurrent calls
+// with distinct u never race. The partial is accumulated on the stack and
+// stored once: neighbouring units' slots share cache lines, and a
+// per-server read-modify-write of the shared slice would bounce those lines
+// between shard workers.
+//
+// The dirty-set fast path: a powered server that no mutator touched, whose
+// P-state is the one the sensor columns were computed under and whose fD
+// carries the previous tick's exact bits, keeps its sensors and skips the
+// model evaluation. Everything the aggregate needs is still accumulated per
+// server and per VM, in the same order and from the same values a full
+// evaluation would produce — the skip cannot change a single result bit.
 func (c *Cluster) advanceUnit(tick, u int, row []float64) {
-	p := &c.partials[u]
-	*p = unitPartial{}
+	var p unitPartial
 	overhead := 1 + c.Cfg.AlphaV
 	alphaM := 1 - c.Cfg.AlphaM
 	// Hoist every column into a local: at 100k servers the repeated
@@ -865,6 +901,7 @@ func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 		}
 		p.hEnc, p.hasEnc = e.StaticCap-e.Power, true
 	}
+	c.partials[u] = p
 }
 
 // Stats returns the fleet aggregate of the latest Advance. Before the first

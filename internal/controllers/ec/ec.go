@@ -17,7 +17,6 @@ package ec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"nopower/internal/cluster"
 	"nopower/internal/control"
@@ -49,8 +48,11 @@ type Controller struct {
 	loops []control.UtilizationLoop
 	wasOn []bool
 	rRef0 float64
-	// nSteps is atomic: concurrent TickShard calls all add to it.
-	nSteps atomic.Int64
+	// steps counts per-server control actions, one slot per server: a call
+	// adds its count to the slot of the first server in its list (the serial
+	// Tick to slot 0), so concurrent TickShard calls over disjoint server
+	// sets write disjoint slots, and Steps sums them on read.
+	steps  []int64
 	tracer obs.Tracer
 }
 
@@ -59,7 +61,7 @@ func New(cl *cluster.Cluster, lambda, rRef float64, period int) (*Controller, er
 	if period <= 0 {
 		return nil, fmt.Errorf("ec: period %d", period)
 	}
-	c := &Controller{Period: period, Lambda: lambda, rRef0: rRef}
+	c := &Controller{Period: period, Lambda: lambda, rRef0: rRef, steps: make([]int64, cl.NumServers())}
 	for i, n := 0, cl.NumServers(); i < n; i++ {
 		m := cl.ServerModel(i)
 		fMin := m.MinFreq() / m.MaxFreq()
@@ -101,11 +103,10 @@ func (c *Controller) Tick(k int, cl *cluster.Cluster) {
 }
 
 // TickShard implements the simulator's ShardTicker interface: it advances
-// only the listed servers' loops. Loop state is strictly per-server, so
-// concurrent calls over disjoint server sets never race; the step counter is
-// the one shared cell and is accumulated atomically, once per call.
+// only the listed servers' loops. Loop state and step counts are kept per
+// server, so concurrent calls over disjoint server sets never race.
 func (c *Controller) TickShard(k int, cl *cluster.Cluster, servers []int) {
-	if k%c.Period != 0 {
+	if k%c.Period != 0 || len(servers) == 0 {
 		return
 	}
 	c.tickServers(k, cl, servers)
@@ -113,9 +114,9 @@ func (c *Controller) TickShard(k int, cl *cluster.Cluster, servers []int) {
 
 // tickServers advances the loops for the given server IDs (nil = all).
 func (c *Controller) tickServers(k int, cl *cluster.Cluster, servers []int) {
-	n := cl.NumServers()
+	n, slot := cl.NumServers(), 0
 	if servers != nil {
-		n = len(servers)
+		n, slot = len(servers), servers[0]
 	}
 	steps := int64(0)
 	// Fleets are usually model-homogeneous (or model-clustered), so the
@@ -158,11 +159,17 @@ func (c *Controller) tickServers(k int, cl *cluster.Cluster, servers []int) {
 				Target: i, Old: float64(old), New: float64(next), Reason: "utilization-loop"})
 		}
 	}
-	c.nSteps.Add(steps)
+	c.steps[slot] += steps
 }
 
 // Steps reports how many per-server control actions have run (telemetry).
-func (c *Controller) Steps() int { return int(c.nSteps.Load()) }
+func (c *Controller) Steps() int {
+	total := int64(0)
+	for _, s := range c.steps {
+		total += s
+	}
+	return int(total)
+}
 
 // ctrlState is the EC's serializable state: the per-server loop cursors
 // (target and continuous frequency) plus the boot-detection latches.
@@ -179,7 +186,7 @@ func (c *Controller) State() ([]byte, error) {
 		RRef:  make([]float64, len(c.loops)),
 		F:     make([]float64, len(c.loops)),
 		WasOn: append([]bool(nil), c.wasOn...),
-		Steps: int(c.nSteps.Load()),
+		Steps: c.Steps(),
 	}
 	for i := range c.loops {
 		st.RRef[i], st.F[i] = c.loops[i].RRef, c.loops[i].F
@@ -200,6 +207,7 @@ func (c *Controller) Restore(data []byte) error {
 		c.loops[i].RRef, c.loops[i].F = st.RRef[i], st.F[i]
 	}
 	copy(c.wasOn, st.WasOn)
-	c.nSteps.Store(int64(st.Steps))
+	clear(c.steps)
+	c.steps[0] = int64(st.Steps)
 	return nil
 }

@@ -1,6 +1,7 @@
 package ec
 
 import (
+	"sync"
 	"testing"
 
 	"nopower/internal/cluster"
@@ -167,5 +168,69 @@ func TestQuantizationTracksLoop(t *testing.T) {
 			t.Fatalf("tick %d: P-state %d, quantized loop says %d", k, cl.PState(0), want)
 		}
 		cl.Advance(k)
+	}
+}
+
+// concurrently is an AdvanceWith/TickShard dispatcher that runs every unit
+// on its own goroutine, so the race detector sees the sharded path.
+func concurrently(n int, fn func(u int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for u := 0; u < n; u++ {
+		go func() {
+			defer wg.Done()
+			fn(u)
+		}()
+	}
+	wg.Wait()
+}
+
+// The step count is kept per server and summed on read: sharded ticks must
+// report exactly the serial count, off servers excluded, and the total must
+// survive a State/Restore round trip into a controller with counts of its
+// own.
+func TestShardedStepsMatchSerial(t *testing.T) {
+	const n, ticks = 45, 30 // three units: 20 + 20 + 5 servers
+	serialCl, shardCl := testCluster(t, n, 0.3), testCluster(t, n, 0.3)
+	for _, cl := range []*cluster.Cluster{serialCl, shardCl} {
+		if err := cl.Move(7, 8, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.PowerOff(7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial, _ := New(serialCl, DefaultLambda, DefaultRRef, 1)
+	sharded, _ := New(shardCl, DefaultLambda, DefaultRRef, 1)
+	units := shardCl.Units()
+	for k := 0; k < ticks; k++ {
+		serial.Tick(k, serialCl)
+		serialCl.Advance(k)
+		concurrently(len(units), func(u int) { sharded.TickShard(k, shardCl, units[u]) })
+		shardCl.AdvanceWith(k, concurrently)
+	}
+	want := (n - 1) * ticks
+	if got := serial.Steps(); got != want {
+		t.Fatalf("serial Steps = %d, want %d", got, want)
+	}
+	if got := sharded.Steps(); got != want {
+		t.Fatalf("sharded Steps = %d, want the serial %d", got, want)
+	}
+
+	data, err := sharded.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := New(serialCl, DefaultLambda, DefaultRRef, 1)
+	concurrently(len(units), func(u int) { restored.TickShard(0, serialCl, units[u]) })
+	if err := restored.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Steps(); got != want {
+		t.Fatalf("restored Steps = %d, want %d", got, want)
+	}
+	concurrently(len(units), func(u int) { restored.TickShard(ticks, serialCl, units[u]) })
+	if got := restored.Steps(); got != want+n-1 {
+		t.Errorf("Steps after one more sharded tick = %d, want %d", got, want+n-1)
 	}
 }

@@ -107,16 +107,14 @@ func (e *Engine) Disabled() []string {
 func (e *Engine) tickOne(ci, k int) (perr *ControllerPanicError) {
 	c := e.Controllers[ci]
 	if stc, ok := c.(ShardTicker); ok && e.Shards > 1 && e.Tracer == nil {
-		if e.profRec != nil {
-			// Tag the dispatch so runUnits records ctl.<Name>.shard worker
-			// spans — but only on the controller's epoch ticks; an empty
-			// phase tells runUnits not to measure the idle pass.
-			e.profPhase = ""
-			if k%e.ctlProf[ci].period == 0 {
-				e.profTick, e.profPhase = k, e.ctlProf[ci].shardPhase
-			}
+		// Worker spans (ctl.<Name>.shard) are recorded only on the
+		// controller's epoch ticks; the idle pass is not measured.
+		e.measure = e.profRec != nil && k%e.ctlProf[ci].period == 0
+		perr := e.tickShards(stc, k)
+		if e.measure {
+			e.recordShards(k, e.ctlProf[ci].shardPhase)
 		}
-		return e.tickShards(stc, k)
+		return perr
 	}
 	if e.FaultPolicy != FaultPropagate {
 		defer func() {

@@ -137,6 +137,14 @@ func (e *Engine) sampleRuntime(k int) {
 	}
 }
 
+// recordShards records the latest measured dispatch's per-worker busy
+// spans under phase, one span per worker with the worker index as shard.
+func (e *Engine) recordShards(k int, phase string) {
+	for w := 0; w < e.shardWorkers; w++ {
+		e.profRec.Record(k, phase, w, e.shardStart[w], e.shardBusy[w])
+	}
+}
+
 // observeShards publishes the just-finished plant advance's per-worker busy
 // times as np_sim_shard_seconds gauges and their max/mean ratio as
 // np_sim_shard_imbalance (1.0 is a perfectly balanced dispatch). Gauge

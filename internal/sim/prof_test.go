@@ -58,12 +58,14 @@ func TestEngineProfilerSpanTaxonomy(t *testing.T) {
 			t.Errorf("%s: %d spans, want 60", phase, counts[phase])
 		}
 	}
-	// The plant dispatch records one span per worker per tick.
-	if counts[prof.PhaseShard] < 2*60 {
-		t.Errorf("%s: %d spans, want >= 120", prof.PhaseShard, counts[prof.PhaseShard])
+	// The plant dispatch records exactly one span per worker per tick (4
+	// shards over the 9-unit fleet): the demand-cache fill dispatched through
+	// the same pool on ticks 0 and 32 must not add worker spans of its own.
+	if counts[prof.PhaseShard] != 4*60 {
+		t.Errorf("%s: %d spans, want 240", prof.PhaseShard, counts[prof.PhaseShard])
 	}
-	if shardMax[prof.PhaseShard] < 1 {
-		t.Errorf("%s: max worker index %d, want >= 1", prof.PhaseShard, shardMax[prof.PhaseShard])
+	if shardMax[prof.PhaseShard] != 3 {
+		t.Errorf("%s: max worker index %d, want 3", prof.PhaseShard, shardMax[prof.PhaseShard])
 	}
 	// Checkpoints fired at ticks 20, 40, 60.
 	if counts[prof.PhaseCheckpoint] != 3 {

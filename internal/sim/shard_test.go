@@ -63,24 +63,34 @@ func resultBits(r metrics.Result) [9]uint64 {
 	}
 }
 
-// TestShardDeterminism runs the coordinated and uncoordinated stacks at every
-// shard count and requires bitwise-identical collector state versus the
-// serial run. `make race` runs exactly this test under -race: the determinism
-// claim and the data-race claim are two halves of the same contract.
+// shardRun is one finished run's comparable state: the collector's
+// accumulated state, the finalized metrics, and every controller's State
+// bytes in stack order.
+type shardRun struct {
+	collector []byte
+	result    metrics.Result
+	names     []string
+	ctls      [][]byte
+}
+
+// TestShardDeterminism runs the coordinated, uncoordinated and VM-level
+// stacks at every shard count and requires bitwise-identical collector
+// state, finalized metrics and controller state versus the serial run —
+// controller state catches a sharded controller whose internal bookkeeping
+// (an EC step count, say) drifts without touching the plant. `make race`
+// runs exactly this test under -race: the determinism claim and the
+// data-race claim are two halves of the same contract.
 func TestShardDeterminism(t *testing.T) {
 	const ticks = 300
-	for _, tc := range []struct {
-		name string
-		spec func() core.Spec
-	}{
-		{"coordinated", core.Coordinated},
-		{"uncoordinated", core.Uncoordinated},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(shards int) ([]byte, metrics.Result) {
+	for _, name := range []string{"coordinated", "uncoordinated", "vmlevel"} {
+		t.Run(name, func(t *testing.T) {
+			run := func(shards int) shardRun {
 				t.Helper()
 				cl := shardTestCluster(t, ticks)
-				spec := tc.spec()
+				spec, err := core.SpecByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
 				spec.Seed = 42
 				spec.Shards = shards
 				eng, _, err := core.Build(cl, spec)
@@ -91,22 +101,38 @@ func TestShardDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				data, err := col.State()
-				if err != nil {
+				r := shardRun{result: col.Finalize(0)}
+				if r.collector, err = col.State(); err != nil {
 					t.Fatal(err)
 				}
-				return data, col.Finalize(0)
+				for _, c := range eng.Controllers {
+					data, err := c.(sim.Snapshotter).State()
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.names = append(r.names, c.Name())
+					r.ctls = append(r.ctls, data)
+				}
+				return r
 			}
 			counts := shardCounts()
-			refState, refRes := run(counts[0])
+			ref := run(counts[0])
 			for _, shards := range counts[1:] {
-				state, res := run(shards)
-				if !bytes.Equal(state, refState) {
+				got := run(shards)
+				if !bytes.Equal(got.collector, ref.collector) {
 					t.Errorf("shards=%d: collector state diverged from serial run", shards)
 				}
-				if got, want := resultBits(res), resultBits(refRes); got != want {
+				if g, w := resultBits(got.result), resultBits(ref.result); g != w {
 					t.Errorf("shards=%d: finalized metrics diverged:\n got %v\nwant %v\n(%s vs %s)",
-						shards, got, want, res, refRes)
+						shards, g, w, got.result, ref.result)
+				}
+				if fmt.Sprint(got.names) != fmt.Sprint(ref.names) {
+					t.Fatalf("shards=%d: stack %v, serial stack %v", shards, got.names, ref.names)
+				}
+				for i, data := range got.ctls {
+					if !bytes.Equal(data, ref.ctls[i]) {
+						t.Errorf("shards=%d: %s state diverged from serial run", shards, got.names[i])
+					}
 				}
 			}
 		})

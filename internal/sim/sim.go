@@ -50,12 +50,14 @@ type MetricsAware interface {
 
 // ShardTicker is implemented by controllers whose per-epoch work decomposes
 // over the cluster's fixed unit partition — the per-server controllers (EC,
-// VMEC), whose state is strictly per-server. When the engine runs with
-// Shards > 1 and no tracer attached, it calls TickShard once per unit,
-// concurrently, instead of Tick; implementations must touch only the listed
-// servers' state (plus their own per-server state) so disjoint calls never
-// race. Tracing forces the serial Tick path: concurrent shards would emit
-// events in a nondeterministic order.
+// VMEC). When the engine runs with Shards > 1 and no tracer attached, it
+// calls TickShard once per unit, concurrently, instead of Tick. The contract
+// is no write to any cell shared across units, cluster flags and counters
+// included: an implementation writes only the listed servers' plant state
+// (through per-server mutators such as SetPState) and its own per-server
+// state, so disjoint calls never race and never contend for a cache line
+// beyond a unit's edges. Tracing forces the serial Tick path: concurrent
+// shards would emit events in a nondeterministic order.
 type ShardTicker interface {
 	Controller
 	// TickShard performs the controller's epoch work for the given servers.
@@ -143,15 +145,15 @@ type Engine struct {
 	mViolGM        *obs.Counter
 
 	// Profiling state (prof.go). profRec is non-nil exactly when Prof is
-	// wired. profTick/profPhase parameterize the next runUnits dispatch's
-	// worker spans; both are written before goroutines are spawned, so the
-	// workers read them race-free. shardBusy holds per-worker busy time of
-	// the latest measured dispatch (one slot per worker, joined before it
-	// is read).
+	// wired. measure asks the next runUnits dispatch to time its workers; it
+	// is written before goroutines are spawned, so the workers read it
+	// race-free. shardStart/shardBusy hold per-worker start and busy time of
+	// the latest measured dispatch (one slot per worker, joined before they
+	// are read).
 	profRec      *teeRecorder
 	ctlProf      []ctlProf
-	profTick     int
-	profPhase    string
+	measure      bool
+	shardStart   []int64
 	shardBusy    []int64
 	shardWorkers int
 	mShard       []*obs.Gauge
@@ -281,51 +283,37 @@ func (e *Engine) observeMetrics(st cluster.FleetStats) {
 	}
 }
 
+// blocksPerWorker is how many contiguous unit blocks runUnits cuts per
+// worker: enough that a worker finishing early steals a block from a slow
+// one, few enough that each worker walks long runs of neighbouring units.
+const blocksPerWorker = 8
+
 // runUnits dispatches fn over n units using up to e.Shards goroutines (the
-// calling goroutine participates). Units are claimed from a shared atomic
-// index — work-stealing keeps the load balanced however uneven the units —
-// and the WaitGroup join gives the caller a happens-before edge over every
-// unit's writes. Which goroutine runs which unit never affects results: units
-// touch disjoint state and all reductions happen after the join.
+// calling goroutine participates). Workers claim contiguous blocks of units
+// from a shared atomic index; the block size follows from n and the worker
+// count (blocksPerWorker blocks per worker). Neighbouring units share cache
+// lines at their edges (a 20-server unit is 20 bytes of a []bool column), so
+// a block keeps those lines on one worker except at its two ends, while
+// claiming blocks rather than fixed halves still balances uneven units. The
+// WaitGroup join gives the caller a happens-before edge over every unit's
+// writes. Which goroutine runs which unit never affects results: units touch
+// disjoint state and all reductions happen after the join.
+//
+// When e.measure is set, each worker's start and busy time land in
+// shardStart/shardBusy (one slot per worker, read after the join); the
+// caller records them as spans with recordShards.
 func (e *Engine) runUnits(n int, fn func(u int)) {
-	workers := e.Shards
-	if workers > n {
-		workers = n
-	}
-	// Worker spans are recorded only for dispatches the caller tagged with a
-	// phase (the plant advance every tick, a ShardTicker on its epoch ticks)
-	// — profTick/profPhase are written before the goroutines spawn, so the
-	// workers read them race-free.
-	rec := e.profRec
-	if rec != nil && e.profPhase == "" {
-		rec = nil
-	}
-	if workers <= 1 {
-		if rec == nil {
-			for u := 0; u < n; u++ {
-				fn(u)
-			}
-			return
-		}
-		start := rec.Now()
-		for u := 0; u < n; u++ {
-			fn(u)
-		}
-		dur := rec.Now() - start
-		if len(e.shardBusy) < 1 {
-			e.shardBusy = make([]int64, 1)
-		}
-		e.shardBusy[0] = dur
-		e.shardWorkers = 1
-		rec.Record(e.profTick, e.profPhase, 0, start, dur)
-		return
-	}
-	if rec != nil {
+	workers := max(1, min(e.Shards, n))
+	var rec *teeRecorder
+	if e.measure {
+		rec = e.profRec
+		e.shardWorkers = workers
 		if len(e.shardBusy) < workers {
+			e.shardStart = make([]int64, workers)
 			e.shardBusy = make([]int64, workers)
 		}
-		e.shardWorkers = workers
 	}
+	block := max(1, n/(workers*blocksPerWorker))
 	var next atomic.Int64
 	work := func(w int) {
 		var start int64
@@ -333,16 +321,17 @@ func (e *Engine) runUnits(n int, fn func(u int)) {
 			start = rec.Now()
 		}
 		for {
-			u := int(next.Add(1)) - 1
-			if u >= n {
+			hi := int(next.Add(int64(block)))
+			lo := hi - block
+			if lo >= n {
 				break
 			}
-			fn(u)
+			for u := lo; u < min(hi, n); u++ {
+				fn(u)
+			}
 		}
 		if rec != nil {
-			dur := rec.Now() - start
-			e.shardBusy[w] = dur
-			rec.Record(e.profTick, e.profPhase, w, start, dur)
+			e.shardStart[w], e.shardBusy[w] = start, rec.Now()-start
 		}
 	}
 	var wg sync.WaitGroup
@@ -464,11 +453,14 @@ func (e *Engine) RunContext(ctx context.Context, ticks int) (*metrics.Collector,
 			}
 		}
 		if e.Shards > 1 {
-			if rec != nil {
-				e.profTick, e.profPhase = k, prof.PhaseShard
-			}
+			e.measure = rec != nil
 			e.Cluster.AdvanceWith(k, e.runFn)
 			if rec != nil {
+				// The unit evaluation is AdvanceWith's last dispatch, so the
+				// slots describe it; a demand-cache fill dispatched before it
+				// is timed whole by plant.demand_row and its worker spans are
+				// left unrecorded.
+				e.recordShards(k, prof.PhaseShard)
 				e.observeShards()
 			}
 		} else {

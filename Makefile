@@ -19,7 +19,7 @@ BENCH_DIR         ?= bench
 BENCH_MAX_REGRESS ?= 2.0
 BENCH_BASELINE    ?= $(lastword $(sort $(wildcard $(BENCH_DIR)/BENCH_*.json)))
 
-.PHONY: all build test race bench bench-json bench-serve check fmt vet cover soak verify lint serve-smoke facility-smoke profiles-smoke
+.PHONY: all build test race bench bench-json bench-serve check fmt vet cover soak verify lint
 
 all: check
 
@@ -53,33 +53,6 @@ verify: lint
 		echo "no baseline in $(BENCH_DIR)/ — skipping compare (run make bench-json)"; \
 	fi; \
 	rm -f $$tmp
-	$(MAKE) serve-smoke
-	$(MAKE) facility-smoke
-	$(MAKE) profiles-smoke
-
-# serve-smoke boots the real npserved binary on a free port, submits a
-# small job over HTTP, long-polls the result, and asserts it is bitwise
-# identical to an in-process experiments.Run — the cross-process face of
-# the determinism contract — then SIGTERMs the daemon and expects a clean
-# exit. The harness lives in cmd/npserved/main_test.go.
-serve-smoke:
-	$(GO) test -count=1 -run 'TestServeSmoke' ./cmd/npserved
-
-# facility-smoke runs E21 at reduced scale with the FM in the stack and
-# asserts the facility determinism contract: the sharded run and the
-# kill-and-resume run reproduce the serial run bitwise, facility columns
-# (PUE, total draw, cooling, outside air) included.
-facility-smoke:
-	$(GO) test -count=1 -run 'TestFacilityIdentity' ./internal/experiments
-
-# profiles-smoke validates the host-profile registry (every registered
-# calibration passes Model.Validate and spans the idle/P-state spectrum)
-# and runs E22 at reduced scale: on every heterogeneous fleet mix the
-# sharded run and the kill-and-resume run must reproduce the serial run
-# bitwise, per-profile decomposition included.
-profiles-smoke:
-	$(GO) test -count=1 -run 'TestRegistry|TestLookup|TestFrozenGuard' ./internal/model
-	$(GO) test -count=1 -run 'TestHeteroIdentity' ./internal/experiments
 
 # bench-serve is the E20 daemon load benchmark: 500 jobs over 8 distinct
 # specs per iteration against an in-memory server, reporting p50/p99

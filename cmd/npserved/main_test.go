@@ -19,8 +19,8 @@ import (
 	"nopower/internal/serve"
 )
 
-// TestServeSmoke is the end-to-end daemon gate (`make serve-smoke`): build
-// the real binary, boot it on a free port, submit a job over HTTP, and
+// TestServeSmoke is the end-to-end daemon gate, part of `go test ./...`:
+// build the real binary, boot it on a free port, submit a job over HTTP, and
 // check the wire result is bitwise identical to an in-process run — the
 // cross-process face of the determinism contract — then shut it down with
 // SIGTERM and expect a clean exit.

@@ -147,9 +147,11 @@ func FlapGroupBudget(start, period, cycles int, lowFrac, highFrac float64) []sim
 }
 
 // crasher decorates a controller with scheduled panics. It forwards the
-// inner controller's identity, tracer wiring, and fail-safe, so to the
-// engine it is the same controller — one that happens to hit a bug at the
-// scheduled ticks.
+// inner controller's identity, tracer and metrics wiring, epoch period,
+// fail-safe and state, so to the engine it is the same controller — one
+// that happens to hit a bug at the scheduled ticks. It deliberately does not
+// forward sim.ShardTicker: the engine would then call TickShard, and the
+// crash must go through Tick.
 type crasher struct {
 	inner sim.Controller
 	at    map[int]bool
@@ -184,6 +186,23 @@ func (c *crasher) SetTracer(t obs.Tracer) {
 	if tc, ok := c.inner.(sim.Traceable); ok {
 		tc.SetTracer(t)
 	}
+}
+
+// SetMetrics implements sim.MetricsAware by forwarding when the inner
+// controller publishes gauges.
+func (c *crasher) SetMetrics(reg *obs.Registry) {
+	if mc, ok := c.inner.(sim.MetricsAware); ok {
+		mc.SetMetrics(reg)
+	}
+}
+
+// EpochPeriod implements sim.Epochal by forwarding; a controller without an
+// epoch acts every tick.
+func (c *crasher) EpochPeriod() int {
+	if ep, ok := c.inner.(sim.Epochal); ok {
+		return ep.EpochPeriod()
+	}
+	return 1
 }
 
 // FailSafe implements sim.FailSafer by forwarding when the inner controller

@@ -6,6 +6,7 @@ import (
 
 	"nopower/internal/cluster"
 	"nopower/internal/obs"
+	"nopower/internal/obs/prof"
 	"nopower/internal/sim"
 	"nopower/internal/testutil"
 )
@@ -179,5 +180,52 @@ func TestCrashByName(t *testing.T) {
 	}
 	if len(eng.Disabled()) != 1 {
 		t.Error("crash wrapper not installed in the stack")
+	}
+}
+
+// epochalGauged is a controller with an epoch, its own gauges, and a
+// sharded law — the hooks a crash wrapper must forward (or, for the sharded
+// law, must not).
+type epochalGauged struct {
+	reg    *obs.Registry
+	wired  bool
+	ticks  int
+	shards int
+}
+
+func (c *epochalGauged) Name() string                           { return "epochal" }
+func (c *epochalGauged) Tick(k int, cl *cluster.Cluster)        { c.ticks++ }
+func (c *epochalGauged) EpochPeriod() int                       { return 5 }
+func (c *epochalGauged) SetMetrics(reg *obs.Registry)           { c.reg, c.wired = reg, true }
+func (c *epochalGauged) TickShard(int, *cluster.Cluster, []int) { c.shards++ }
+
+// The wrapper forwards the metrics hook and the epoch period, so a crashing
+// FM still publishes its gauges before the crash and the profiler records the
+// wrapped law once per epoch; it hides the sharded law so the crash goes
+// through Tick.
+func TestCrashWrapperForwardsMetricsAndEpoch(t *testing.T) {
+	inner := &epochalGauged{}
+	wrapped := Crash(inner, 100)
+	if _, ok := wrapped.(sim.ShardTicker); ok {
+		t.Error("wrapper exposes TickShard: a sharded engine would bypass the crash")
+	}
+	cl := testutil.StandaloneCluster(t, 2, 50, 0.2)
+	eng := sim.New(cl, wrapped)
+	eng.Metrics = obs.NewRegistry()
+	eng.Prof = prof.New(1 << 10)
+	if _, err := eng.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if !inner.wired || inner.reg != eng.Metrics {
+		t.Error("SetMetrics not forwarded: the wrapped controller's gauges never reach the registry")
+	}
+	spans := 0
+	for _, s := range eng.Prof.Spans() {
+		if s.Phase == prof.CtlPrefix+"epochal" {
+			spans++
+		}
+	}
+	if spans != 2 {
+		t.Errorf("profiler recorded %d ctl.epochal spans over 10 ticks, want 2 (one per 5-tick epoch)", spans)
 	}
 }

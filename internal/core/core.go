@@ -52,6 +52,18 @@ func DefaultPeriods() Periods {
 	return Periods{EC: 1, SM: 5, EM: 25, GM: 50, VMC: 500, FM: 100}
 }
 
+// Effective returns the periods Build runs with: the paper's defaults for
+// the zero value, and the default facility interval when FM is unset.
+func (p Periods) Effective() Periods {
+	if p == (Periods{}) {
+		return DefaultPeriods()
+	}
+	if p.FM <= 0 {
+		p.FM = DefaultPeriods().FM
+	}
+	return p
+}
+
 // Spec selects and wires a controller stack.
 type Spec struct {
 	// EnableEC/SM/EM/GM/VMC include the respective controller.
@@ -248,9 +260,7 @@ type Handles struct {
 // deployment the same order reproduces the EC-overwrites-SM race the paper
 // describes, because the EC acts last on the shared P-state knob.
 func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
-	if spec.Periods == (Periods{}) {
-		spec.Periods = DefaultPeriods()
-	}
+	spec.Periods = spec.Periods.Effective()
 	if spec.Lambda == 0 {
 		spec.Lambda = ec.DefaultLambda
 	}
@@ -286,9 +296,6 @@ func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
 		// The facility manager runs first — the coarsest domain of all: its
 		// IT budget lands before the cooling manager and the GM act on it
 		// within the same tick.
-		if spec.Periods.FM <= 0 {
-			spec.Periods.FM = DefaultPeriods().FM
-		}
 		mode := fm.Uncoordinated
 		if spec.Coordinated {
 			mode = fm.Coordinated

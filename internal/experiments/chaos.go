@@ -104,8 +104,8 @@ type ChaosRow struct {
 // newChaosEngine builds the engine for one (scenario, spec, chaos case)
 // triple: the fault schedule compiled into an EventInjector ahead of the
 // stack, the crash target wrapped with the chaos crasher. sc must already be
-// normalized. The replay harness rebuilds engines through the same path so a
-// resumed chaos run is structurally identical to the one it continues.
+// normalized. Every run of the package builds its engine here, so a resumed
+// or sharded run is structurally identical to the one it is compared with.
 func newChaosEngine(sc Scenario, spec core.Spec, cse ChaosCase) (*sim.Engine, *core.Handles, error) {
 	cl, err := sc.BuildCluster()
 	if err != nil {
@@ -146,24 +146,8 @@ func newChaosEngine(sc Scenario, spec core.Spec, cse ChaosCase) (*sim.Engine, *c
 // engine runs under o.FaultPolicy.
 func RunChaos(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, o Observers) (ChaosRow, error) {
 	sc = sc.normalized()
-	eng, h, err := newChaosEngine(sc, spec, cse)
+	eng, res, err := execute(ctx, sc, spec, cse, 0, o, sc.Ticks)
 	if err != nil {
-		return ChaosRow{}, err
-	}
-	o.wireHandles(h)
-	remaining, err := o.attach(eng, sc.Ticks)
-	if err != nil {
-		return ChaosRow{}, err
-	}
-	col, err := eng.RunContext(ctx, remaining)
-	if ferr := o.finish(); err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return ChaosRow{}, fmt.Errorf("chaos %s: %w", cse.Name, err)
-	}
-	res := col.Finalize(0)
-	if err := res.Valid(); err != nil {
 		return ChaosRow{}, fmt.Errorf("chaos %s: %w", cse.Name, err)
 	}
 	return ChaosRow{Scenario: cse.Name, Result: res, Disabled: len(eng.Disabled())}, nil
@@ -177,30 +161,32 @@ func chaosScenario(opts Options) Scenario {
 		Ticks: opts.Ticks, Seed: opts.Seed}
 }
 
+// chaosJob is one (chaos case, stack) pair of the soak.
+type chaosJob struct {
+	cse   ChaosCase
+	stack string
+	spec  core.Spec
+}
+
+// chaosJobs lists every chaos case against the coordinated and uncoordinated
+// stacks, in (case, stack) order.
+func chaosJobs() []chaosJob {
+	var jobs []chaosJob
+	for _, cse := range ChaosCases() {
+		jobs = append(jobs,
+			chaosJob{cse, "Coordinated", core.Coordinated()},
+			chaosJob{cse, "Uncoordinated", core.Uncoordinated()})
+	}
+	return jobs
+}
+
 // ChaosData runs every scenario against the coordinated and uncoordinated
 // stacks under the degrade fault policy and returns the rows in (case,
 // stack) order.
 func ChaosData(ctx context.Context, opts Options) ([]ChaosRow, error) {
 	opts = opts.normalized()
-	type job struct {
-		cse   ChaosCase
-		stack string
-		spec  core.Spec
-	}
-	var jobs []job
-	for _, cse := range ChaosCases() {
-		for _, stack := range []struct {
-			name string
-			spec core.Spec
-		}{
-			{"Coordinated", core.Coordinated()},
-			{"Uncoordinated", core.Uncoordinated()},
-		} {
-			jobs = append(jobs, job{cse: cse, stack: stack.name, spec: stack.spec})
-		}
-	}
 	sc := chaosScenario(opts)
-	return runner.Map(ctx, opts.Parallelism, jobs, func(ctx context.Context, j job) (ChaosRow, error) {
+	return runner.Map(ctx, opts.Parallelism, chaosJobs(), func(ctx context.Context, j chaosJob) (ChaosRow, error) {
 		row, err := RunChaos(ctx, sc, j.spec, j.cse, Observers{FaultPolicy: sim.FaultDegrade})
 		if err != nil {
 			return ChaosRow{}, fmt.Errorf("%s/%s: %w", j.cse.Name, j.stack, err)

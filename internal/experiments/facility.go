@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"nopower/internal/controllers/fm"
 	"nopower/internal/core"
@@ -28,12 +27,9 @@ type FacilityRow struct {
 	// FeedViolations counts ticks where total facility power exceeded the
 	// utility feed.
 	FeedViolations int
-	// Identical reports the sharded run reproduced the serial run bitwise
-	// (per-tick series including the facility columns, and the summary).
-	Identical bool
-	// ReplayIdentical reports the kill-and-resume check through the facility
-	// loop reproduced the uninterrupted run bitwise (the E16 contract).
-	ReplayIdentical bool
+	// Identity is the harness verdict: the sharded and resumed runs against
+	// the serial one, per-tick facility columns included.
+	Identity IdentityReport
 }
 
 // facilityScenario builds the E21 setup: the paper's blade hardware under the
@@ -70,48 +66,24 @@ func facilitySeriesStats(s *metrics.Series) (avgPUE, maxPUE, avgFacilityW float6
 	return avgPUE / n, maxPUE, avgFacilityW / n
 }
 
-// facilityStackRow runs one stack through the full E21 battery: a serial
-// reference run, a sharded run compared bitwise against it, and a
-// kill-and-resume replay check through the facility loop.
+// facilityStackRow runs one stack through the identity harness, with the
+// FM handle captured on the serial reference for budget/violation telemetry.
 func facilityStackRow(ctx context.Context, sc Scenario, spec core.Spec, baseline float64) (FacilityRow, error) {
-	// Serial reference, with the FM handle captured for budget/violation
-	// telemetry.
 	var serial metrics.Series
 	var fmc *fm.Controller
-	ssc := sc
-	ssc.Shards = 1
-	res, err := RunObserved(ctx, ssc, spec, baseline, Observers{
+	rep, err := CheckIdentity(ctx, sc, spec, ChaosCase{}, baseline, Observers{
 		Series:  &serial,
 		OnBuild: func(h *core.Handles) { fmc = h.FM },
 	})
 	if err != nil {
-		return FacilityRow{}, fmt.Errorf("facility serial: %w", err)
+		return FacilityRow{}, fmt.Errorf("facility: %w", err)
 	}
-	row := FacilityRow{Result: res}
+	row := FacilityRow{Result: rep.Result, Identity: rep}
 	row.AvgPUE, row.MaxPUE, row.AvgFacilityW = facilitySeriesStats(&serial)
 	if fmc != nil {
 		row.ITBudgetW, _ = fmc.Budget()
 		row.FeedViolations, _ = fmc.DrainViolations()
 	}
-
-	// Sharded run: sharding is a pure execution knob, so the series —
-	// facility columns included — and the summary must be bit-identical.
-	var sharded metrics.Series
-	psc := sc
-	psc.Shards = runtime.GOMAXPROCS(0)
-	pres, err := RunObserved(ctx, psc, spec, baseline, Observers{Series: &sharded})
-	if err != nil {
-		return FacilityRow{}, fmt.Errorf("facility sharded: %w", err)
-	}
-	row.Identical = serial.BitEqual(&sharded) && resultBitsEqual(res, pres)
-
-	// Kill-and-resume through the facility loop (the E16 contract with an FM
-	// in the stack).
-	rrow, err := ReplayCheck(ctx, sc, spec, ChaosCase{Name: "facility"}, sc.Ticks/2)
-	if err != nil {
-		return FacilityRow{}, fmt.Errorf("facility replay: %w", err)
-	}
-	row.ReplayIdentical = rrow.Identical
 	return row, nil
 }
 
@@ -161,19 +133,14 @@ func Facility(ctx context.Context, opts Options) ([]*report.Table, error) {
 		Title: "Facility — UPS/PDU losses, weather-derated cooling, and the FM budget (AI-burst mix)",
 		Note: "BladeA under synchronized AI-training burst traces; the FM derives the " +
 			"group IT budget from the utility feed and weather-derated cooling capacity. " +
-			"'bit-identical' compares the sharded run against the serial one " +
-			"(math.Float64bits over the per-tick series, facility columns included); " +
-			"'replay' kills the run halfway and resumes from the checkpoint.",
+			"'identical' re-runs the serial reference as " + rows[0].Identity.VariantNames() +
+			" and compares math.Float64bits over the per-tick series (facility columns " +
+			"included) and the summary.",
 		Header: []string{"Stack", "Savings", "Perf-loss", "Viol(GM)", "Avg PUE", "Max PUE",
-			"Avg facility (kW)", "IT budget (kW)", "Feed-viol", "Bit-identical", "Replay"},
+			"Avg facility (kW)", "IT budget (kW)", "Feed-viol", "Identical"},
 	}
 	for _, r := range rows {
-		yn := func(b bool) string {
-			if b {
-				return "yes"
-			}
-			return "NO"
-		}
+		rerr := r.Identity.Err()
 		t.AddRow(r.Stack,
 			report.Pct(r.Result.PowerSavings), report.Pct(r.Result.PerfLoss),
 			report.Pct(r.Result.ViolGM),
@@ -181,13 +148,10 @@ func Facility(ctx context.Context, opts Options) ([]*report.Table, error) {
 			fmt.Sprintf("%.1f", r.AvgFacilityW/1000),
 			fmt.Sprintf("%.1f", r.ITBudgetW/1000),
 			fmt.Sprintf("%d", r.FeedViolations),
-			yn(r.Identical), yn(r.ReplayIdentical))
-		if !r.Identical || !r.ReplayIdentical {
-			err = fmt.Errorf("experiments: facility run diverged for %s", r.Stack)
+			yesNo(rerr == nil))
+		if rerr != nil && err == nil {
+			err = fmt.Errorf("experiments: facility %s %w", r.Stack, rerr)
 		}
 	}
-	if err != nil {
-		return []*report.Table{t}, err
-	}
-	return []*report.Table{t}, nil
+	return []*report.Table{t}, err
 }

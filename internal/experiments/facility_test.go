@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestFacilityIdentity is the CI smoke for the facility determinism contract
-// at reduced scale: with the FM in the stack, the sharded run and the
-// kill-and-resume run must both reproduce the serial run bitwise
+// TestFacilityIdentity holds the facility loop to the determinism contract
+// at reduced scale: with the FM in the stack, the identity harness's sharded
+// and kill-and-resume runs must reproduce the serial run bitwise
 // (math.Float64bits over the per-tick series, facility columns included).
 func TestFacilityIdentity(t *testing.T) {
 	rows, err := FacilityData(context.Background(), Options{Ticks: 240, Parallelism: 2})
@@ -18,11 +18,11 @@ func TestFacilityIdentity(t *testing.T) {
 		t.Fatalf("%d rows, want coordinated + uncoordinated", len(rows))
 	}
 	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s: sharded run diverged from serial", r.Stack)
+		if err := r.Identity.Err(); err != nil {
+			t.Errorf("%s: %v", r.Stack, err)
 		}
-		if !r.ReplayIdentical {
-			t.Errorf("%s: resumed run diverged from uninterrupted", r.Stack)
+		if len(r.Identity.Variants) < 2 {
+			t.Errorf("%s: variants %q, want sharded and resumed runs", r.Stack, r.Identity.VariantNames())
 		}
 		if r.AvgPUE <= 1 || r.MaxPUE < r.AvgPUE {
 			t.Errorf("%s: PUE series implausible (avg %v, max %v)", r.Stack, r.AvgPUE, r.MaxPUE)

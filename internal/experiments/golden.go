@@ -82,69 +82,63 @@ type goldenResultBits struct {
 	AvgServersOn uint64 `json:"avgServersOnBits"`
 }
 
-func resultToBits(r metrics.Result) goldenResultBits {
-	return goldenResultBits{
-		Ticks:        r.Ticks,
-		AvgPower:     math.Float64bits(r.AvgPower),
-		PeakPower:    math.Float64bits(r.PeakPower),
-		PowerSavings: math.Float64bits(r.PowerSavings),
-		PerfLoss:     math.Float64bits(r.PerfLoss),
-		ViolSM:       math.Float64bits(r.ViolSM),
-		ViolEM:       math.Float64bits(r.ViolEM),
-		ViolGM:       math.Float64bits(r.ViolGM),
-		ViolSMWatts:  math.Float64bits(r.ViolSMWatts),
-		AvgServersOn: math.Float64bits(r.AvgServersOn),
+// result converts the committed bits back to the summary they encode.
+func (b goldenResultBits) result() metrics.Result {
+	return metrics.Result{
+		Ticks:        b.Ticks,
+		AvgPower:     math.Float64frombits(b.AvgPower),
+		PeakPower:    math.Float64frombits(b.PeakPower),
+		PowerSavings: math.Float64frombits(b.PowerSavings),
+		PerfLoss:     math.Float64frombits(b.PerfLoss),
+		ViolSM:       math.Float64frombits(b.ViolSM),
+		ViolEM:       math.Float64frombits(b.ViolEM),
+		ViolGM:       math.Float64frombits(b.ViolGM),
+		ViolSMWatts:  math.Float64frombits(b.ViolSMWatts),
+		AvgServersOn: math.Float64frombits(b.AvgServersOn),
 	}
 }
 
-// GoldenReplay runs the cross-layout compatibility check end to end:
+// GoldenReplay runs the cross-layout compatibility check end to end. Its
+// reference is the committed AoS result, and it reports two variants:
 //
-//  1. decode the committed AoS checkpoint and resume it on an engine built
-//     from today's cluster implementation, running ticks 300..600;
-//  2. run the same scenario uninterrupted from tick 0;
-//  3. demand that the resumed per-tick series bit-equals the fresh one and
-//     that BOTH final summaries bit-equal the committed AoS result.
+//   - "uninterrupted": the scenario run from tick 0 on today's engine must
+//     finalize to the committed bits;
+//   - "resume@300": the committed AoS checkpoint, decoded and resumed on
+//     today's cluster implementation for ticks 300..600, must reproduce the
+//     uninterrupted run's per-tick series and the committed bits.
 //
 // It is wired into E16 (Replay) as an extra row, so the experiment fails
 // loudly if the current engine ever drifts from the AoS seed behavior.
-func GoldenReplay(ctx context.Context) (ReplayRow, error) {
+func GoldenReplay(ctx context.Context) (IdentityReport, error) {
 	sc := goldenScenario().normalized()
 	cse := goldenCase()
 	spec := core.Coordinated()
 
 	file, err := checkpoint.Decode(goldenCkpt)
 	if err != nil {
-		return ReplayRow{}, fmt.Errorf("experiments: golden checkpoint: %w", err)
+		return IdentityReport{}, fmt.Errorf("experiments: golden checkpoint: %w", err)
 	}
 	var want goldenResultBits
 	if err := json.Unmarshal(goldenResultJSON, &want); err != nil {
-		return ReplayRow{}, fmt.Errorf("experiments: golden result file: %w", err)
+		return IdentityReport{}, fmt.Errorf("experiments: golden result file: %w", err)
 	}
+	rep := IdentityReport{Result: want.result(), SnapshotBytes: len(goldenCkpt)}
 
-	var full metrics.Series
-	fullRow, err := RunChaos(ctx, sc, spec, cse, Observers{Series: &full, FaultPolicy: sim.FaultDegrade})
+	var full, resumed metrics.Series
+	_, fullRes, err := execute(ctx, sc, spec, cse, 0, Observers{Series: &full, FaultPolicy: sim.FaultDegrade}, sc.Ticks)
 	if err != nil {
-		return ReplayRow{}, fmt.Errorf("experiments: golden reference run: %w", err)
+		return IdentityReport{}, fmt.Errorf("experiments: golden reference run: %w", err)
 	}
-
-	var resumed metrics.Series
-	resumedRow, err := RunChaos(ctx, sc, spec, cse, Observers{
+	_, resumedRes, err := execute(ctx, sc, spec, cse, 0, Observers{
 		Series: &resumed, FaultPolicy: sim.FaultDegrade, Resume: file,
-	})
+	}, sc.Ticks)
 	if err != nil {
-		return ReplayRow{}, fmt.Errorf("experiments: golden resume run: %w", err)
+		return IdentityReport{}, fmt.Errorf("experiments: golden resume run: %w", err)
 	}
-
-	identical := full.BitEqual(&resumed) &&
-		resultToBits(fullRow.Result) == want &&
-		resultToBits(resumedRow.Result) == want
-
-	return ReplayRow{
-		Scenario:      cse.Name,
-		Stack:         "Coordinated",
-		KillTick:      file.Meta.Tick,
-		Identical:     identical,
-		SnapshotBytes: len(goldenCkpt),
-		Resumed:       resumedRow.Result,
-	}, nil
+	rep.Variants = []IdentityVariant{
+		{Name: "uninterrupted", Result: fullRes, Diff: firstDiff(nil, nil, rep.Result, fullRes)},
+		{Name: fmt.Sprintf("resume@%d", file.Meta.Tick), Result: resumedRes,
+			Diff: firstDiff(&full, &resumed, rep.Result, resumedRes)},
+	}
+	return rep, nil
 }

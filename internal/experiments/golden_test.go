@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -35,7 +37,7 @@ func TestRegenerateGoldenAoS(t *testing.T) {
 	}
 	var part metrics.Series
 	o := Observers{Series: &part, FaultPolicy: sim.FaultDegrade}
-	if _, err := o.attach(eng, sc.Ticks); err != nil {
+	if err := o.attach(eng, sc.Ticks); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
 	if _, err := eng.RunContext(ctx, goldenKillAt); err != nil {
@@ -76,15 +78,15 @@ func TestRegenerateGoldenAoS(t *testing.T) {
 // committed AoS checkpoint resumes on the current cluster implementation
 // and replays to the committed result, bit for bit.
 func TestGoldenAoSReplay(t *testing.T) {
-	row, err := GoldenReplay(context.Background())
+	rep, err := GoldenReplay(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !row.Identical {
-		t.Fatalf("golden AoS replay diverged: resumed result %+v", row.Resumed)
+	if err := rep.Err(); err != nil {
+		t.Fatalf("golden AoS replay: %v", err)
 	}
-	if row.KillTick != goldenKillAt {
-		t.Fatalf("golden checkpoint kill tick = %d, want %d", row.KillTick, goldenKillAt)
+	if want := fmt.Sprintf("uninterrupted, resume@%d", goldenKillAt); rep.VariantNames() != want {
+		t.Fatalf("golden variants = %q, want %q", rep.VariantNames(), want)
 	}
 }
 
@@ -104,7 +106,7 @@ func TestGoldenAoSStateRoundTrip(t *testing.T) {
 	}
 	var series metrics.Series
 	o := Observers{Series: &series, FaultPolicy: sim.FaultDegrade}
-	if _, err := o.attach(eng, sc.Ticks); err != nil {
+	if err := o.attach(eng, sc.Ticks); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
 	if err := eng.RestoreSnapshot(file.State); err != nil {
@@ -122,5 +124,22 @@ func TestGoldenAoSStateRoundTrip(t *testing.T) {
 	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
 		t.Fatalf("cluster state did not round-trip bit-identically through RestoreState/State (%d vs %d bytes)",
 			wantBuf.Len(), gotBuf.Len())
+	}
+}
+
+// resultToBits is the inverse of goldenResultBits.result, for writing the
+// committed file.
+func resultToBits(r metrics.Result) goldenResultBits {
+	return goldenResultBits{
+		Ticks:        r.Ticks,
+		AvgPower:     math.Float64bits(r.AvgPower),
+		PeakPower:    math.Float64bits(r.PeakPower),
+		PowerSavings: math.Float64bits(r.PowerSavings),
+		PerfLoss:     math.Float64bits(r.PerfLoss),
+		ViolSM:       math.Float64bits(r.ViolSM),
+		ViolEM:       math.Float64bits(r.ViolEM),
+		ViolGM:       math.Float64bits(r.ViolGM),
+		ViolSMWatts:  math.Float64bits(r.ViolSMWatts),
+		AvgServersOn: math.Float64bits(r.AvgServersOn),
 	}
 }

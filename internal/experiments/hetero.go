@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"nopower/internal/cluster"
 	"nopower/internal/core"
@@ -111,11 +110,10 @@ type HeteroRow struct {
 	Stack      string
 	Result     metrics.Result
 	PerProfile []HeteroProfileRow
-	// Identical reports the sharded run reproduced the serial run bitwise.
-	Identical bool
-	// ReplayIdentical reports the kill-and-resume check reproduced the
-	// uninterrupted run bitwise (the E16 contract).
-	ReplayIdentical bool
+	// Identity is the harness verdict: the sharded and resumed runs against
+	// the serial one. The snapshots carry per-server model names, so a
+	// resumed mixed fleet must land on the same hardware bit-for-bit.
+	Identity IdentityReport
 }
 
 // fleetBase is one fleet's instrumented no-management baseline: the overall
@@ -145,19 +143,15 @@ func heteroBaseline(ctx context.Context, sc Scenario) (fleetBase, error) {
 	return fleetBase{avgPower: col.Finalize(0).AvgPower, acc: acc}, nil
 }
 
-// heteroStackRow runs one (fleet, stack) through the full E22 battery: a
-// serial reference run with the per-profile accumulator, a sharded run
-// compared bitwise against it, and a kill-and-resume replay check.
+// heteroStackRow runs one (fleet, stack) through the identity harness, with
+// the per-profile accumulator on the serial reference.
 func heteroStackRow(ctx context.Context, sc Scenario, spec core.Spec, base fleetBase) (HeteroRow, error) {
-	var serial metrics.Series
 	acc := &profileAcc{}
-	ssc := sc
-	ssc.Shards = 1
-	res, err := RunObserved(ctx, ssc, spec, base.avgPower, Observers{Series: &serial, OnTick: acc.hook})
+	rep, err := CheckIdentity(ctx, sc, spec, ChaosCase{}, base.avgPower, Observers{OnTick: acc.hook})
 	if err != nil {
-		return HeteroRow{}, fmt.Errorf("hetero serial: %w", err)
+		return HeteroRow{}, fmt.Errorf("hetero: %w", err)
 	}
-	row := HeteroRow{Result: res}
+	row := HeteroRow{Result: rep.Result, Identity: rep}
 	for j, name := range acc.names {
 		pr := HeteroProfileRow{Profile: name, Servers: acc.counts[j], AvgW: acc.avgW(j)}
 		for bj, bname := range base.acc.names {
@@ -171,26 +165,6 @@ func heteroStackRow(ctx context.Context, sc Scenario, spec core.Spec, base fleet
 		}
 		row.PerProfile = append(row.PerProfile, pr)
 	}
-
-	// Sharded run: a pure execution knob, so the per-tick series and the
-	// summary must be bit-identical to the serial reference.
-	var sharded metrics.Series
-	psc := sc
-	psc.Shards = runtime.GOMAXPROCS(0)
-	pres, err := RunObserved(ctx, psc, spec, base.avgPower, Observers{Series: &sharded})
-	if err != nil {
-		return HeteroRow{}, fmt.Errorf("hetero sharded: %w", err)
-	}
-	row.Identical = serial.BitEqual(&sharded) && resultBitsEqual(res, pres)
-
-	// Kill-and-resume through the mixed-model plant: the snapshot carries
-	// per-server model names, so a resumed heterogeneous fleet must land on
-	// the same hardware bit-for-bit.
-	rrow, err := ReplayCheck(ctx, sc, spec, ChaosCase{Name: "hetero"}, sc.Ticks/2)
-	if err != nil {
-		return HeteroRow{}, fmt.Errorf("hetero replay: %w", err)
-	}
-	row.ReplayIdentical = rrow.Identical
 	return row, nil
 }
 
@@ -233,21 +207,14 @@ func Hetero(ctx context.Context, opts Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	yn := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "NO"
-	}
 	head := &report.Table{
 		Title: "Heterogeneous fleets — coordinated vs uncoordinated across profile mixes (E22)",
 		Note: "Each fleet draws its servers from the host-profile registry by weighted " +
 			"deterministic interleave (Scenario.Profiles) under the 'hetero' workload mix. " +
-			"'bit-identical' compares the sharded run against the serial one " +
-			"(math.Float64bits over the per-tick series and summary); 'replay' kills the " +
-			"run halfway and resumes from the checkpoint.",
+			"'identical' re-runs the serial reference as " + rows[0].Identity.VariantNames() +
+			" and compares math.Float64bits over the per-tick series and summary.",
 		Header: []string{"Fleet", "Stack", "Savings", "Perf-loss", "Viol(GM)",
-			"Avg power (kW)", "Bit-identical", "Replay"},
+			"Avg power (kW)", "Identical"},
 	}
 	decomp := &report.Table{
 		Title: "Per-profile savings decomposition",
@@ -263,18 +230,15 @@ func Hetero(ctx context.Context, opts Options) ([]*report.Table, error) {
 			report.Pct(r.Result.PowerSavings), report.Pct(r.Result.PerfLoss),
 			report.Pct(r.Result.ViolGM),
 			fmt.Sprintf("%.1f", r.Result.AvgPower/1000),
-			yn(r.Identical), yn(r.ReplayIdentical))
+			yesNo(r.Identity.Err() == nil))
 		for _, p := range r.PerProfile {
 			decomp.AddRow(r.Fleet, r.Stack, p.Profile, fmt.Sprintf("%d", p.Servers),
 				fmt.Sprintf("%.2f", p.BaselineW/1000), fmt.Sprintf("%.2f", p.AvgW/1000),
 				report.Pct(p.Savings))
 		}
-		if !r.Identical || !r.ReplayIdentical {
-			err = fmt.Errorf("experiments: hetero run diverged for %s/%s", r.Fleet, r.Stack)
+		if rerr := r.Identity.Err(); rerr != nil && err == nil {
+			err = fmt.Errorf("experiments: hetero %s/%s %w", r.Fleet, r.Stack, rerr)
 		}
 	}
-	if err != nil {
-		return []*report.Table{head, decomp}, err
-	}
-	return []*report.Table{head, decomp}, nil
+	return []*report.Table{head, decomp}, err
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestHeteroIdentity is the CI smoke for the heterogeneous-fleet determinism
-// contract at reduced scale: on every fleet mix, the sharded run and the
-// kill-and-resume run must both reproduce the serial run bitwise.
+// TestHeteroIdentity holds heterogeneous fleets to the determinism contract
+// at reduced scale: on every fleet mix, the identity harness's sharded and
+// kill-and-resume runs must reproduce the serial run bitwise.
 func TestHeteroIdentity(t *testing.T) {
 	rows, err := HeteroData(context.Background(), Options{Ticks: 240, Parallelism: 2})
 	if err != nil {
@@ -17,11 +17,11 @@ func TestHeteroIdentity(t *testing.T) {
 		t.Fatalf("%d rows, want 3 fleets x 2 stacks", len(rows))
 	}
 	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s/%s: sharded run diverged from serial", r.Fleet, r.Stack)
+		if err := r.Identity.Err(); err != nil {
+			t.Errorf("%s/%s: %v", r.Fleet, r.Stack, err)
 		}
-		if !r.ReplayIdentical {
-			t.Errorf("%s/%s: resumed run diverged from uninterrupted", r.Fleet, r.Stack)
+		if len(r.Identity.Variants) < 2 {
+			t.Errorf("%s/%s: variants %q, want sharded and resumed runs", r.Fleet, r.Stack, r.Identity.VariantNames())
 		}
 		if len(r.PerProfile) < 3 {
 			t.Errorf("%s/%s: %d profiles in decomposition, want >= 3", r.Fleet, r.Stack, len(r.PerProfile))

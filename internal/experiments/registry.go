@@ -128,9 +128,9 @@ var registry = map[string]struct {
 	"models":     {Models, "the Fig. 5 power/performance calibrations and base parameters"},
 	"cooling":    {Cooling, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
 	"chaos":      {Chaos, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},
-	"replay":     {Replay, "chaos soak killed mid-run and resumed from checkpoint; verifies bitwise replay"},
-	"scale":      {Scale, "10k-server fleet: sharded tick engine vs serial, bit-identical results (E17)"},
-	"scale100k":  {Scale100k, "100k-server fleet: columnar cluster store, serial vs sharded bit-identity (E18)"},
+	"replay":     {Replay, "chaos soak re-run sharded and killed-and-resumed from checkpoints; verifies bitwise identity"},
+	"scale":      {scale10k.run, "10k-server fleet: sharded and resumed tick engine vs serial, bit-identical results (E17)"},
+	"scale100k":  {scale100k.run, "100k-server fleet: columnar cluster store, sharded and resumed vs serial bit-identity (E18)"},
 	"facility":   {Facility, "facility co-simulation: UPS/PDU losses, weather-derated cooling, PUE, FM budget (E21)"},
 	"hetero":     {Hetero, "heterogeneous fleets: coordinated vs uncoordinated across three profile mixes (E22)"},
 }
@@ -175,8 +175,9 @@ func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.
 }
 
 // baselineCache memoizes no-management baselines across experiments in one
-// process (the baseline depends only on model/mix/ticks/seed, not budgets —
-// but budgets are part of the key for simplicity and safety). The
+// process, keyed by the fleet (model or profile distribution), mix, ticks and
+// seed. Budgets are not part of the key: with no controllers nothing acts on
+// a budget, so the baseline's average power does not depend on them. The
 // singleflight semantics matter under the parallel runner: concurrent jobs
 // that share a scenario block on one baseline simulation instead of each
 // running their own.

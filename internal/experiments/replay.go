@@ -4,176 +4,79 @@ import (
 	"context"
 	"fmt"
 
-	"nopower/internal/checkpoint"
-	"nopower/internal/core"
-	"nopower/internal/metrics"
 	"nopower/internal/report"
 	"nopower/internal/runner"
 	"nopower/internal/sim"
 )
 
-// ReplayRow is one kill-and-resume verdict: whether a run killed at KillTick
-// and resumed from its checkpoint reproduced the uninterrupted run bitwise.
+// ReplayRow is one E16 verdict: the identity report of one (chaos case,
+// stack) pair.
 type ReplayRow struct {
-	Scenario  string
-	Stack     string
-	KillTick  int
-	Identical bool
-	// SnapshotBytes is the encoded checkpoint size.
-	SnapshotBytes int
-	// Resumed is the resumed run's final summary (equals the uninterrupted
-	// one whenever Identical holds).
-	Resumed metrics.Result
+	Scenario string
+	Stack    string
+	Identity IdentityReport
 }
 
-// ReplayCheck runs the determinism contract end to end for one (scenario,
-// spec, chaos case) triple:
-//
-//  1. the uninterrupted run, recording the per-tick series;
-//  2. the same run killed at killAt ticks, its snapshot round-tripped
-//     through the on-disk encoding (Encode+Decode, so serialization loss
-//     would be caught), then resumed on a freshly built engine;
-//  3. a bitwise comparison (math.Float64bits) of the two series and their
-//     final summaries.
-//
-// cse may be the zero ChaosCase for a fault-free scenario.
-func ReplayCheck(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, killAt int) (ReplayRow, error) {
-	sc = sc.normalized()
-	if killAt <= 0 || killAt >= sc.Ticks {
-		return ReplayRow{}, fmt.Errorf("experiments: kill tick %d outside (0, %d)", killAt, sc.Ticks)
-	}
-	fp := sim.FaultDegrade // crashes in cse must not fail either run
-
-	// Uninterrupted reference run.
-	var full metrics.Series
-	fullRow, err := RunChaos(ctx, sc, spec, cse, Observers{Series: &full, FaultPolicy: fp})
-	if err != nil {
-		return ReplayRow{}, fmt.Errorf("replay reference: %w", err)
-	}
-
-	// Interrupted run: killAt ticks, then snapshot.
-	eng, h, err := newChaosEngine(sc, spec, cse)
-	if err != nil {
-		return ReplayRow{}, err
-	}
-	var part metrics.Series
-	o := Observers{Series: &part, FaultPolicy: fp}
-	o.wireHandles(h)
-	if _, err := o.attach(eng, sc.Ticks); err != nil {
-		return ReplayRow{}, err
-	}
-	if _, err := eng.RunContext(ctx, killAt); err != nil {
-		return ReplayRow{}, fmt.Errorf("replay partial run: %w", err)
-	}
-	snap, err := eng.Snapshot()
-	if err != nil {
-		return ReplayRow{}, fmt.Errorf("replay snapshot: %w", err)
-	}
-	// Round-trip through the persistent encoding: the resumed engine must
-	// live off what a crash would have left on disk, not off live pointers.
-	data, err := checkpoint.Encode(&checkpoint.File{Meta: checkpoint.Meta{Tick: snap.Tick}, State: snap})
-	if err != nil {
-		return ReplayRow{}, err
-	}
-	file, err := checkpoint.Decode(data)
-	if err != nil {
-		return ReplayRow{}, err
-	}
-
-	// Resume on a fresh engine and series.
-	var resumed metrics.Series
-	resumedRow, err := RunChaos(ctx, sc, spec, cse, Observers{
-		Series: &resumed, FaultPolicy: fp, Resume: file,
-	})
-	if err != nil {
-		return ReplayRow{}, fmt.Errorf("replay resume: %w", err)
-	}
-
-	return ReplayRow{
-		Scenario:      cse.Name,
-		KillTick:      killAt,
-		Identical:     full.BitEqual(&resumed) && fullRow.Result == resumedRow.Result,
-		SnapshotBytes: len(data),
-		Resumed:       resumedRow.Result,
-	}, nil
-}
-
-// ReplayData runs the kill-and-resume check for every chaos-soak scenario
-// against the coordinated and uncoordinated stacks, killing halfway.
+// ReplayData runs the identity harness for every chaos-soak scenario against
+// the coordinated and uncoordinated stacks, under the degrade fault policy so
+// an injected crash does not fail a run.
 func ReplayData(ctx context.Context, opts Options) ([]ReplayRow, error) {
 	opts = opts.normalized()
-	type job struct {
-		cse   ChaosCase
-		stack string
-		spec  core.Spec
-	}
-	var jobs []job
-	for _, cse := range ChaosCases() {
-		for _, stack := range []struct {
-			name string
-			spec core.Spec
-		}{
-			{"Coordinated", core.Coordinated()},
-			{"Uncoordinated", core.Uncoordinated()},
-		} {
-			jobs = append(jobs, job{cse: cse, stack: stack.name, spec: stack.spec})
-		}
-	}
 	sc := chaosScenario(opts)
-	rows, err := runner.Map(ctx, opts.Parallelism, jobs, func(ctx context.Context, j job) (ReplayRow, error) {
-		row, err := ReplayCheck(ctx, sc, j.spec, j.cse, opts.Ticks/2)
+	rows, err := runner.Map(ctx, opts.Parallelism, chaosJobs(), func(ctx context.Context, j chaosJob) (ReplayRow, error) {
+		rep, err := CheckIdentity(ctx, sc, j.spec, j.cse, 0, Observers{FaultPolicy: sim.FaultDegrade})
 		if err != nil {
 			return ReplayRow{}, fmt.Errorf("%s/%s: %w", j.cse.Name, j.stack, err)
 		}
-		row.Stack = j.stack
-		return row, nil
+		return ReplayRow{Scenario: j.cse.Name, Stack: j.stack, Identity: rep}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	// The committed AoS-era golden checkpoint rides along: a resume across
 	// the cluster-layout generation gap must stay bit-identical too.
-	grow, err := GoldenReplay(ctx)
+	golden, err := GoldenReplay(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("aos-golden: %w", err)
 	}
-	return append(rows, grow), nil
+	return append(rows, ReplayRow{Scenario: goldenCase().Name, Stack: "Coordinated", Identity: golden}), nil
 }
 
-// Replay renders E16: the chaos soak with a mid-run kill and checkpoint
-// resume, verifying the determinism contract — a resumed run is bitwise
-// identical to an uninterrupted one — per (scenario, stack) pair. A
-// non-identical pair fails the experiment: silently divergent resumes are
-// worse than no resumes.
+// Replay renders E16: the chaos soak under the identity harness, verifying
+// the determinism contract — sharded and resumed runs are bitwise identical
+// to the serial one — per (scenario, stack) pair. A non-identical pair fails
+// the experiment: silently divergent resumes are worse than no resumes.
 func Replay(ctx context.Context, opts Options) ([]*report.Table, error) {
 	rows, err := ReplayData(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	t := &report.Table{
-		Title: "Replay — chaos soak killed mid-run and resumed from its checkpoint",
-		Note: "Each run is killed halfway, its snapshot round-tripped through the on-disk " +
-			"encoding, and resumed on a fresh engine; 'identical' is a bitwise " +
-			"(Float64bits) comparison of the per-tick series and final summaries " +
-			"against the uninterrupted run. The aos-golden row resumes the committed " +
-			"pre-columnar checkpoint against its committed result bits.",
-		Header: []string{"Scenario", "Stack", "Kill@", "Identical", "Snapshot",
-			"Violates(GM)", "Perf-loss"},
+		Title: "Replay — chaos soak re-run sharded and killed-and-resumed from its checkpoints",
+		Note: "Each row re-runs the serial reference as " + rows[0].Identity.VariantNames() +
+			" (every kill's snapshot round-trips through the on-disk encoding and resumes " +
+			"on a fresh engine); 'identical' is a bitwise (Float64bits) comparison of the " +
+			"per-tick series and final summaries. Snapshot is the mid-run one. The " +
+			"aos-golden row resumes the committed pre-columnar checkpoint against its " +
+			"committed result bits.",
+		Header: []string{"Scenario", "Stack", "Identical", "Snapshot", "Violates(GM)", "Perf-loss"},
 	}
 	for _, r := range rows {
-		ident := "yes"
-		if !r.Identical {
-			ident = "NO"
-		}
-		t.AddRow(r.Scenario, r.Stack, fmt.Sprintf("%d", r.KillTick), ident,
-			fmt.Sprintf("%.1f KiB", float64(r.SnapshotBytes)/1024),
-			report.Pct(r.Resumed.ViolGM), report.Pct(r.Resumed.PerfLoss))
-		if !r.Identical {
-			err = fmt.Errorf("experiments: replay diverged for %s/%s", r.Scenario, r.Stack)
+		rerr := r.Identity.Err()
+		t.AddRow(r.Scenario, r.Stack, yesNo(rerr == nil),
+			fmt.Sprintf("%.1f KiB", float64(r.Identity.SnapshotBytes)/1024),
+			report.Pct(r.Identity.Result.ViolGM), report.Pct(r.Identity.Result.PerfLoss))
+		if rerr != nil && err == nil {
+			err = fmt.Errorf("experiments: replay %s/%s %w", r.Scenario, r.Stack, rerr)
 		}
 	}
-	if err != nil {
-		return []*report.Table{t}, err
+	return []*report.Table{t}, err
+}
+
+// yesNo renders an identity verdict for a table cell.
+func yesNo(ok bool) string {
+	if ok {
+		return "yes"
 	}
-	return []*report.Table{t}, nil
+	return "NO"
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"nopower/internal/core"
@@ -22,9 +21,9 @@ func replayScenario(ticks int) Scenario {
 func shortPeriods() core.Periods { return core.Periods{EC: 1, SM: 2, EM: 5, GM: 10, VMC: 20} }
 
 // TestReplayGoldenAllStacks is the determinism contract's golden test: for
-// every registered stack preset, a run killed mid-way and resumed from its
-// (disk-format round-tripped) checkpoint must reproduce the uninterrupted
-// run's per-tick series bitwise.
+// every registered stack preset, the identity harness's sharded run and its
+// chain of kills resumed from (disk-format round-tripped) checkpoints must
+// reproduce the serial run's per-tick series bitwise.
 func TestReplayGoldenAllStacks(t *testing.T) {
 	const ticks = 90
 	sc := replayScenario(ticks)
@@ -37,20 +36,22 @@ func TestReplayGoldenAllStacks(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec.Periods = shortPeriods()
-			row, err := ReplayCheck(context.Background(), sc, spec, ChaosCase{Name: "fault-free"}, ticks/2)
+			rep, err := CheckIdentity(context.Background(), sc, spec, ChaosCase{}, 0, Observers{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !row.Identical {
-				t.Errorf("stack %s: resumed run diverged from the uninterrupted run", name)
+			if err := rep.Err(); err != nil {
+				t.Errorf("stack %s: %v", name, err)
 			}
-			if row.SnapshotBytes <= 0 {
+			if rep.SnapshotBytes <= 0 {
 				t.Error("empty snapshot")
 			}
 			// The comparison must cover the whole run, not a trivially empty
-			// series: the restored collector counts the full tick span.
-			if row.Resumed.Ticks != ticks {
-				t.Errorf("resumed run observed %d ticks, want %d", row.Resumed.Ticks, ticks)
+			// series: every variant's collector counts the full tick span.
+			for _, v := range rep.Variants {
+				if v.Result.Ticks != ticks {
+					t.Errorf("%s observed %d ticks, want %d", v.Name, v.Result.Ticks, ticks)
+				}
 			}
 		})
 	}
@@ -93,34 +94,12 @@ func TestReplayGoldenSpecVariants(t *testing.T) {
 			t.Parallel()
 			spec := v.spec()
 			spec.Periods = shortPeriods()
-			row, err := ReplayCheck(context.Background(), sc, spec, ChaosCase{Name: "fault-free"}, ticks/2)
+			rep, err := CheckIdentity(context.Background(), sc, spec, ChaosCase{}, 0, Observers{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !row.Identical {
-				t.Errorf("%s: resumed run diverged", v.name)
-			}
-		})
-	}
-}
-
-// TestReplayGoldenKillPoints varies where the run is killed: right after the
-// first tick, just before a VMC epoch, on one, and near the end.
-func TestReplayGoldenKillPoints(t *testing.T) {
-	const ticks = 90
-	sc := replayScenario(ticks)
-	for _, kill := range []int{1, 19, 20, 60, 89} {
-		kill := kill
-		t.Run(fmt.Sprintf("kill-%d", kill), func(t *testing.T) {
-			t.Parallel()
-			spec := core.Coordinated()
-			spec.Periods = shortPeriods()
-			row, err := ReplayCheck(context.Background(), sc, spec, ChaosCase{Name: "fault-free"}, kill)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !row.Identical {
-				t.Errorf("kill at %d: resumed run diverged", kill)
+			if err := rep.Err(); err != nil {
+				t.Errorf("%s: %v", v.name, err)
 			}
 		})
 	}
@@ -128,8 +107,8 @@ func TestReplayGoldenKillPoints(t *testing.T) {
 
 // TestReplayGoldenChaosCases runs the full E16 sweep — every fault-injection
 // scenario under both headline stacks — at test scale and requires every
-// resume to be bitwise identical, including runs whose controller crash or
-// fault window lands before or after the kill point.
+// sharded run and resume chain to be bitwise identical, including runs whose
+// controller crash or fault window lands between kill points.
 func TestReplayGoldenChaosCases(t *testing.T) {
 	rows, err := ReplayData(context.Background(), Options{Ticks: 120})
 	if err != nil {
@@ -140,8 +119,8 @@ func TestReplayGoldenChaosCases(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s/%s: resumed run diverged from the uninterrupted run", r.Scenario, r.Stack)
+		if err := r.Identity.Err(); err != nil {
+			t.Errorf("%s/%s: %v", r.Scenario, r.Stack, err)
 		}
 	}
 }
@@ -149,7 +128,8 @@ func TestReplayGoldenChaosCases(t *testing.T) {
 // TestReplayGoldenDemandSurge pins the mutated-trace path: a ScaleDemand
 // event before the kill rewrites every demand trace in place, so the
 // snapshot must capture the scaled demand (pristine traces are skipped and
-// rebuilt); the event after the kill replays from the rebuilt schedule.
+// rebuilt); the event after the mid-run kill replays from the rebuilt
+// schedule.
 func TestReplayGoldenDemandSurge(t *testing.T) {
 	const ticks = 90
 	sc := replayScenario(ticks)
@@ -161,21 +141,12 @@ func TestReplayGoldenDemandSurge(t *testing.T) {
 			return []sim.Event{sim.ScaleDemand(20, 1.5), sim.ScaleDemand(70, 0.8)}
 		},
 	}
-	row, err := ReplayCheck(context.Background(), sc, spec, surge, ticks/2)
+	rep, err := CheckIdentity(context.Background(), sc, spec, surge, 0, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !row.Identical {
-		t.Error("resumed run diverged after an in-place demand rewrite")
-	}
-}
-
-func TestReplayCheckRejectsBadKillTick(t *testing.T) {
-	sc := replayScenario(50)
-	for _, kill := range []int{-1, 0, 50, 99} {
-		if _, err := ReplayCheck(context.Background(), sc, core.Coordinated(), ChaosCase{}, kill); err == nil {
-			t.Errorf("kill tick %d accepted", kill)
-		}
+	if err := rep.Err(); err != nil {
+		t.Errorf("after an in-place demand rewrite: %v", err)
 	}
 }
 

@@ -3,162 +3,104 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
+	"strings"
 
 	"nopower/internal/core"
 	"nopower/internal/metrics"
 	"nopower/internal/report"
-	"nopower/internal/runner"
 	"nopower/internal/tracegen"
 )
 
-// scaleFleetSize is the E17 fleet: a 10k-server synthetic data center,
-// roughly 55x the paper's 180-server evaluation rack.
-const scaleFleetSize = 10000
-
-// scaleFleetSizeShort is the shrunk fleet used when the caller asks for a
-// short run (tests, smokes): still hundreds of servers across many
-// enclosures, so the sharded paths are genuinely exercised, without the
-// minutes-long wall clock of the full fleet.
-const scaleFleetSizeShort = 900
-
-// ScaleRow is one shard setting's outcome on the fleet-scale scenario.
-type ScaleRow struct {
-	// Shards is the per-tick goroutine bound the run used.
-	Shards int
-	// Result is the finalized summary.
-	Result metrics.Result
-	// Identical reports whether every Result field is bitwise identical
-	// (math.Float64bits) to the serial (shards=1) reference.
-	Identical bool
+// fleetScale is one fleet-scale identity experiment. E17 and E18 are the
+// same experiment at two fleet sizes: the Mix180 utilization blend scaled to
+// the fleet, the paper's base budgets, and the coordinated stack without the
+// VMC (bin-packing 10k VMs every VMC epoch is a different scaling problem —
+// the tick engine is what they measure), run through the identity harness.
+type fleetScale struct {
+	// name titles the table and its errors.
+	name string
+	// full is the fleet at paper-length runs; short is the shrunk fleet
+	// for runs under 2000 ticks (tests, smokes): still many enclosures per
+	// shard, so the sharded paths are genuinely exercised, without the
+	// minutes-long wall clock of the full fleet.
+	full, short int
+	// bench is the benchmark that measures the wall clock.
+	bench string
 }
 
-// scaleFleet picks the fleet size: the full 10k fleet for paper-length runs,
-// the shrunk one for short runs.
-func scaleFleet(opts Options) int {
+var (
+	// scale10k is E17: 10k servers, roughly 55x the paper's 180-server
+	// evaluation rack.
+	scale10k = fleetScale{"Scale", 10000, 900, "BenchmarkScale10k"}
+	// scale100k is E18: 100k servers, the scale the columnar
+	// (struct-of-arrays) cluster store was built for.
+	scale100k = fleetScale{"Scale100k", 100000, 2000, "BenchmarkScale100k"}
+)
+
+// fleet picks the fleet size for the run length.
+func (f fleetScale) fleet(opts Options) int {
 	if opts.Ticks < 2000 {
-		return scaleFleetSizeShort
+		return f.short
 	}
-	return scaleFleetSize
+	return f.full
 }
 
-// scaleScenario builds the E17 scenario: the Mix180 utilization blend scaled
-// to the fleet, the paper's base budgets, and the coordinated stack without
-// the VMC (bin-packing 10k VMs every VMC epoch is a different scaling
-// problem — the tick engine is what E17 measures).
-func scaleScenario(opts Options) (Scenario, core.Spec) {
+// data runs the fleet's scenario through the identity harness. opts must be
+// normalized.
+func (f fleetScale) data(ctx context.Context, opts Options) (IdentityReport, error) {
 	sc := Scenario{
 		Model:   "BladeA",
-		Mix:     tracegen.ScaleMix(scaleFleet(opts)),
+		Mix:     tracegen.ScaleMix(f.fleet(opts)),
 		Budgets: Base201510(),
 		Ticks:   opts.Ticks,
 		Seed:    opts.Seed,
 	}
-	return sc, core.NoVMC()
-}
-
-// scaleShardCounts is the ladder E17 walks: serial, minimal parallelism, and
-// one shard per available CPU.
-func scaleShardCounts() []int {
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	out := counts[:1]
-	for _, n := range counts[1:] {
-		if n > out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// resultBitsEqual compares two finalized summaries field by field at the
-// bit level (Float64bits, so -0 vs +0 or differently-rounded sums fail).
-func resultBitsEqual(a, b metrics.Result) bool {
-	bits := func(r metrics.Result) [8]uint64 {
-		return [8]uint64{
-			math.Float64bits(r.AvgPower), math.Float64bits(r.PeakPower),
-			math.Float64bits(r.PowerSavings), math.Float64bits(r.PerfLoss),
-			math.Float64bits(r.ViolSM), math.Float64bits(r.ViolEM),
-			math.Float64bits(r.ViolGM), math.Float64bits(r.ViolSMWatts),
-		}
-	}
-	return a.Ticks == b.Ticks && bits(a) == bits(b) &&
-		math.Float64bits(a.AvgServersOn) == math.Float64bits(b.AvgServersOn)
-}
-
-// ScaleData runs the fleet-scale scenario once per shard setting and verifies
-// each sharded run's summary is bitwise identical to the serial one.
-func ScaleData(ctx context.Context, opts Options) ([]ScaleRow, error) {
-	opts = opts.normalized()
-	sc, spec := scaleScenario(opts)
-
-	// One baseline serves every row: sharding cannot change it, so compute
-	// it at full parallelism.
+	// Sharding cannot change the baseline, so compute it at full
+	// parallelism.
 	bsc := sc
 	bsc.Shards = runtime.GOMAXPROCS(0)
 	baseline, err := BaselinePower(ctx, bsc)
 	if err != nil {
-		return nil, fmt.Errorf("scale baseline: %w", err)
+		return IdentityReport{}, fmt.Errorf("%s baseline: %w", strings.ToLower(f.name), err)
 	}
-
-	results, err := runner.Map(ctx, opts.Parallelism, scaleShardCounts(),
-		func(ctx context.Context, shards int) (ScaleRow, error) {
-			s := sc
-			s.Shards = shards
-			res, err := RunVsBaseline(ctx, s, spec, baseline)
-			if err != nil {
-				return ScaleRow{}, fmt.Errorf("scale shards=%d: %w", shards, err)
-			}
-			return ScaleRow{Shards: shards, Result: res}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	ref := results[0].Result // shards=1: the serial reference
-	for i := range results {
-		results[i].Identical = resultBitsEqual(results[i].Result, ref)
-	}
-	return results, nil
+	return CheckIdentity(ctx, sc, core.NoVMC(), ChaosCase{}, baseline, Observers{})
 }
 
-// Scale renders E17: the tick engine on a synthetic 10k-server fleet at
-// increasing shard counts. The table's claim is correctness, not speed —
-// every sharded run must reproduce the serial run bitwise (the wall-clock
-// trajectory lives in BenchmarkScale10k, where it can be measured without
-// contending with the experiment worker pool). A non-identical row fails the
-// experiment: a fast wrong answer is not an optimization.
-func Scale(ctx context.Context, opts Options) ([]*report.Table, error) {
+// run renders the table: the serial reference and each variant with its own
+// summary. The claim is correctness, not speed — every variant must
+// reproduce the serial run bitwise (the wall-clock trajectory lives in the
+// benchmark, where it can be measured without contending with the
+// experiment worker pool). A non-identical row fails the experiment: a fast
+// wrong answer is not an optimization.
+func (f fleetScale) run(ctx context.Context, opts Options) ([]*report.Table, error) {
 	opts = opts.normalized()
-	rows, err := ScaleData(ctx, opts)
+	rep, err := f.data(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	t := &report.Table{
-		Title: fmt.Sprintf("Scale — %d-server fleet, sharded tick engine vs serial", scaleFleet(opts)),
-		Note: "Same scenario at every shard count; 'bit-identical' compares every final " +
-			"metric against the shards=1 run with math.Float64bits. Wall-clock speedup " +
-			"is benchmarked separately (BenchmarkScale10k).",
-		Header: []string{"Shards", "Avg power (W)", "Savings", "Perf-loss",
+		Title: fmt.Sprintf("%s — %d-server fleet, sharded and resumed tick engine vs serial", f.name, f.fleet(opts)),
+		Note: "Same scenario in every row; 'bit-identical' compares the per-tick series and " +
+			"every final metric against the serial run with math.Float64bits. Wall-clock " +
+			"speedup is benchmarked separately (" + f.bench + ").",
+		Header: []string{"Run", "Avg power (W)", "Savings", "Perf-loss",
 			"Viol SM/EM/GM (%)", "Bit-identical"},
 	}
-	for _, r := range rows {
-		ident := "yes"
-		if !r.Identical {
-			ident = "NO"
-		}
-		t.AddRow(fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%.0f", r.Result.AvgPower),
-			report.Pct(r.Result.PowerSavings),
-			report.Pct(r.Result.PerfLoss),
-			fmt.Sprintf("%s/%s/%s", report.Pct(r.Result.ViolSM),
-				report.Pct(r.Result.ViolEM), report.Pct(r.Result.ViolGM)),
-			ident)
-		if !r.Identical {
-			err = fmt.Errorf("experiments: scale run diverged at shards=%d", r.Shards)
-		}
+	row := func(name string, r metrics.Result, verdict string) {
+		t.AddRow(name,
+			fmt.Sprintf("%.0f", r.AvgPower),
+			report.Pct(r.PowerSavings),
+			report.Pct(r.PerfLoss),
+			fmt.Sprintf("%s/%s/%s", report.Pct(r.ViolSM), report.Pct(r.ViolEM), report.Pct(r.ViolGM)),
+			verdict)
 	}
-	if err != nil {
-		return nil, err
+	row("serial", rep.Result, "reference")
+	for _, v := range rep.Variants {
+		row(v.Name, v.Result, yesNo(v.Diff == ""))
+	}
+	if err := rep.Err(); err != nil {
+		return []*report.Table{t}, fmt.Errorf("experiments: %s %w", strings.ToLower(f.name), err)
 	}
 	return []*report.Table{t}, nil
 }

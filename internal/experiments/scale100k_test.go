@@ -3,22 +3,19 @@ package experiments
 import "testing"
 
 // E18 — the columnar store must produce bitwise-identical results serial vs
-// sharded. The test runs the shrunk fleet (2000 servers, still dozens of
-// enclosures per shard) at every shard count on the ladder and requires
-// Float64bits identity against the shards=1 reference; the full 100k fleet
-// runs the identical code via `npexp scale100k`.
+// sharded vs resumed. The test runs the shrunk fleet (2000 servers, still
+// dozens of enclosures per shard) through the identity harness; the full
+// 100k fleet runs the identical code via `npexp scale100k`.
 func TestScale100kBitIdentical(t *testing.T) {
-	rows, err := Scale100kData(ctx, Options{Ticks: 120, Seed: 42, Parallelism: 2})
+	rep, err := scale100k.data(ctx, Options{Ticks: 120, Seed: 42}.normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) < 1 || rows[0].Shards != 1 {
-		t.Fatalf("first row must be the serial reference, got %+v", rows)
+	if err := rep.Err(); err != nil {
+		t.Error(err)
 	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("shards=%d diverged from the serial run", r.Shards)
-		}
+	if len(rep.Variants) < 2 || rep.Variants[0].Name != "shards=2" {
+		t.Errorf("variants %q, want shards=2 first and a resume chain", rep.VariantNames())
 	}
 }
 

@@ -296,9 +296,9 @@ func (o Observers) wireHandles(h *core.Handles) {
 	}
 }
 
-// attach wires the bundle onto a freshly built engine and returns the number
-// of ticks left to run (sc.Ticks, minus the resume point when resuming).
-func (o Observers) attach(eng *sim.Engine, totalTicks int) (int, error) {
+// attach wires the bundle onto a freshly built engine of a totalTicks run,
+// restoring o.Resume when set.
+func (o Observers) attach(eng *sim.Engine, totalTicks int) error {
 	if o.Series != nil {
 		eng.OnTick = o.Series.Observe
 		// The recorder is run state: a resumed run must continue the series,
@@ -337,20 +337,16 @@ func (o Observers) attach(eng *sim.Engine, totalTicks int) (int, error) {
 	eng.FaultPolicy = o.FaultPolicy
 	if o.Checkpoint != nil {
 		if err := o.Checkpoint.Attach(eng); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if o.Resume == nil {
-		return totalTicks, nil
+		return nil
 	}
 	if err := eng.RestoreSnapshot(o.Resume.State); err != nil {
-		return 0, fmt.Errorf("experiments: resume: %w", err)
+		return fmt.Errorf("experiments: resume: %w", err)
 	}
-	remaining := totalTicks - eng.Tick()
-	if remaining < 0 {
-		return 0, fmt.Errorf("experiments: checkpoint tick %d is past the scenario end %d", eng.Tick(), totalTicks)
-	}
-	return remaining, nil
+	return nil
 }
 
 // finish joins the run's background checkpoint writes and surfaces the
@@ -366,40 +362,37 @@ func (o Observers) finish() error {
 // recorder, an actuation tracer, and/or a live metrics registry.
 func RunObserved(ctx context.Context, sc Scenario, spec core.Spec, baselineAvgPower float64, o Observers) (metrics.Result, error) {
 	sc = sc.normalized()
-	cl, err := sc.BuildCluster()
+	_, res, err := execute(ctx, sc, spec, ChaosCase{}, baselineAvgPower, o, sc.Ticks)
+	return res, err
+}
+
+// execute is the package's one run path. It builds the engine for (sc,
+// spec, cse) through newChaosEngine, attaches o (restoring o.Resume when
+// set), and runs to the absolute tick until. It returns the engine — for a
+// snapshot or the degraded-mode count — and, when until is sc.Ticks, the
+// result finalized against baseline (0 skips the savings metric). sc must be
+// normalized.
+func execute(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, baseline float64, o Observers, until int) (*sim.Engine, metrics.Result, error) {
+	eng, h, err := newChaosEngine(sc, spec, cse)
 	if err != nil {
-		return metrics.Result{}, err
-	}
-	if spec.Seed == 0 {
-		spec.Seed = sc.Seed
-	}
-	if spec.Shards == 0 {
-		spec.Shards = sc.Shards
-	}
-	if spec.Shards == 0 {
-		spec.Shards = DefaultShards()
-	}
-	eng, h, err := core.Build(cl, spec)
-	if err != nil {
-		return metrics.Result{}, err
+		return nil, metrics.Result{}, err
 	}
 	o.wireHandles(h)
-	remaining, err := o.attach(eng, sc.Ticks)
-	if err != nil {
-		return metrics.Result{}, err
+	if err := o.attach(eng, sc.Ticks); err != nil {
+		return nil, metrics.Result{}, err
 	}
-	col, err := eng.RunContext(ctx, remaining)
+	if eng.Tick() > until {
+		return nil, metrics.Result{}, fmt.Errorf("experiments: checkpoint tick %d is past the run end %d", eng.Tick(), until)
+	}
+	col, err := eng.RunContext(ctx, until-eng.Tick())
 	if ferr := o.finish(); err == nil {
 		err = ferr
 	}
-	if err != nil {
-		return metrics.Result{}, err
+	if err != nil || until < sc.Ticks {
+		return eng, metrics.Result{}, err
 	}
-	res := col.Finalize(baselineAvgPower)
-	if err := res.Valid(); err != nil {
-		return res, err
-	}
-	return res, nil
+	res := col.Finalize(baseline)
+	return eng, res, res.Valid()
 }
 
 // BaselinePower computes the scenario's no-management average power. The

@@ -201,6 +201,39 @@ func (r Result) String() string {
 		100*r.ViolSM, 100*r.ViolEM, 100*r.ViolGM, r.AvgServersOn)
 }
 
+// Diff compares two summaries bitwise — math.Float64bits on every float
+// field, so −0 differs from +0 and a NaN equals an identical NaN, where ==
+// says the opposite — and names the first field that differs with both
+// values. It returns "" when the summaries are identical.
+func (r Result) Diff(o Result) string {
+	if r.Ticks != o.Ticks {
+		return fmt.Sprintf("Ticks: %d vs %d", r.Ticks, o.Ticks)
+	}
+	a, b := r.floatFields(), o.floatFields()
+	for i := range a {
+		if math.Float64bits(a[i].v) != math.Float64bits(b[i].v) {
+			return fmt.Sprintf("%s: %v vs %v", a[i].name, a[i].v, b[i].v)
+		}
+	}
+	return ""
+}
+
+// namedFloat is one float field of a Result under its Go name.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// floatFields lists the float fields in declaration order.
+func (r Result) floatFields() [9]namedFloat {
+	return [9]namedFloat{
+		{"AvgPower", r.AvgPower}, {"PeakPower", r.PeakPower},
+		{"PowerSavings", r.PowerSavings}, {"PerfLoss", r.PerfLoss},
+		{"ViolSM", r.ViolSM}, {"ViolEM", r.ViolEM}, {"ViolGM", r.ViolGM},
+		{"ViolSMWatts", r.ViolSMWatts}, {"AvgServersOn", r.AvgServersOn},
+	}
+}
+
 // Valid sanity-checks a result's ranges (used by integration tests).
 func (r Result) Valid() error {
 	checks := []struct {

@@ -175,3 +175,29 @@ func TestStringFormat(t *testing.T) {
 		}
 	}
 }
+
+// Result.Diff is bitwise: −0 and +0 differ, where == calls them equal, and
+// two identical NaNs agree, where == calls them different.
+func TestResultDiffIsBitwise(t *testing.T) {
+	a := Result{Ticks: 10, AvgPower: 100, PerfLoss: 0}
+	b := a
+	b.PerfLoss = math.Copysign(0, -1)
+	if a != b {
+		t.Fatal("== should call -0 and +0 equal (the premise of this test)")
+	}
+	if d := a.Diff(b); d != "PerfLoss: 0 vs -0" {
+		t.Errorf("-0 vs +0: Diff = %q, want %q", d, "PerfLoss: 0 vs -0")
+	}
+	a.ViolSMWatts, b.ViolSMWatts = math.NaN(), math.NaN()
+	b.PerfLoss = 0
+	if a == b {
+		t.Fatal("== should call NaN and NaN different (the premise of this test)")
+	}
+	if d := a.Diff(b); d != "" {
+		t.Errorf("identical NaNs: Diff = %q, want equal", d)
+	}
+	b.Ticks = 11
+	if d := a.Diff(b); d != "Ticks: 10 vs 11" {
+		t.Errorf("ticks: Diff = %q", d)
+	}
+}

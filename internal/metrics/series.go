@@ -82,7 +82,7 @@ func (s *Series) Observe(k int, cl *cluster.Cluster) {
 	}
 	// Computed from the cluster fields rather than -st.HeadroomGrp: negating
 	// an exact-zero headroom would record -0 where the subtraction yields +0,
-	// and the replay bar (BitEqual) distinguishes the two.
+	// and the replay bar (Diff) distinguishes the two.
 	over := cl.GroupPower - cl.CapGrp()
 	if over < 0 {
 		over = 0
@@ -124,42 +124,76 @@ func (s *Series) Restore(data []byte) error {
 	return nil
 }
 
-// BitEqual reports whether two series are sample-for-sample bitwise
-// identical — the checkpoint subsystem's deterministic-replay bar, stricter
-// than float equality (it distinguishes +0 from −0 and compares NaNs by
-// payload via math.Float64bits).
-func (s *Series) BitEqual(o *Series) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	intEq := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
+// column is one recorded column under its WriteCSV header name, with the
+// decimals WriteCSV prints. Int columns are widened to float64, which is
+// exact for any tick or server count.
+type column struct {
+	name string
+	prec int
+	v    []float64
+}
+
+// columns lists the recorded columns in WriteCSV order; the four facility
+// columns come last.
+func (s *Series) columns() []column {
+	widen := func(xs []int) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = float64(x)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+		return out
+	}
+	return []column{
+		{"tick", 0, widen(s.Ticks)},
+		{"power_w", 2, s.PowerW},
+		{"servers_on", 0, widen(s.ServersOn)},
+		{"viol_sm", 0, widen(s.ViolSM)},
+		{"perf_loss", 4, s.PerfLoss},
+		{"group_over_w", 2, s.TempProxy},
+		{"headroom_grp_w", 2, s.HeadroomGrp},
+		{"headroom_enc_w", 2, s.HeadroomEnc},
+		{"headroom_loc_w", 2, s.HeadroomLoc},
+		{"facility_w", 2, s.FacilityW},
+		{"pue", 4, s.PUE},
+		{"cooling_w", 2, s.CoolingW},
+		{"outside_c", 2, s.OutsideC},
+	}
+}
+
+// numFacilityColumns is how many of columns() are facility columns.
+const numFacilityColumns = 4
+
+// Diff reports the first sample where o differs from s bitwise — the
+// determinism contract's replay bar, stricter than float equality: values
+// compare by math.Float64bits, so +0 differs from −0 and NaNs compare by
+// payload. It returns "" when the series are identical, else the tick, the
+// column (named as in WriteCSV's header) and both values; a sample or column
+// one side lacks reads "missing".
+func (s *Series) Diff(o *Series) string {
+	a, b := s.columns(), o.columns()
+	for i := 0; i < max(s.Len(), o.Len()); i++ {
+		for c := range a {
+			x, y := a[c].v, b[c].v
+			if (i < len(x)) != (i < len(y)) ||
+				i < len(x) && math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				tick := sample(a[0].v, i)
+				if tick == "missing" {
+					tick = sample(b[0].v, i)
+				}
+				return fmt.Sprintf("tick %s: %s: %s vs %s", tick, a[c].name, sample(x, i), sample(y, i))
 			}
 		}
-		return true
 	}
-	bitEq := func(a, b []float64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return false
-			}
-		}
-		return true
+	return ""
+}
+
+// sample renders v[i] in its shortest round-trip form, or "missing" past
+// the end.
+func sample(v []float64, i int) string {
+	if i >= len(v) {
+		return "missing"
 	}
-	return intEq(s.Ticks, o.Ticks) && intEq(s.ServersOn, o.ServersOn) && intEq(s.ViolSM, o.ViolSM) &&
-		bitEq(s.PowerW, o.PowerW) && bitEq(s.PerfLoss, o.PerfLoss) && bitEq(s.TempProxy, o.TempProxy) &&
-		bitEq(s.HeadroomGrp, o.HeadroomGrp) && bitEq(s.HeadroomEnc, o.HeadroomEnc) &&
-		bitEq(s.HeadroomLoc, o.HeadroomLoc) &&
-		bitEq(s.FacilityW, o.FacilityW) && bitEq(s.PUE, o.PUE) &&
-		bitEq(s.CoolingW, o.CoolingW) && bitEq(s.OutsideC, o.OutsideC)
+	return strconv.FormatFloat(v[i], 'g', -1, 64)
 }
 
 // WriteCSV emits the series with a header row. The facility columns appear
@@ -167,34 +201,20 @@ func (s *Series) BitEqual(o *Series) bool {
 // byte-identical to the pre-facility format.
 func (s *Series) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	withFacility := len(s.FacilityW) == len(s.Ticks) && len(s.Ticks) > 0
-	header := []string{"tick", "power_w", "servers_on", "viol_sm", "perf_loss", "group_over_w",
-		"headroom_grp_w", "headroom_enc_w", "headroom_loc_w"}
-	if withFacility {
-		header = append(header, "facility_w", "pue", "cooling_w", "outside_c")
+	cols := s.columns()
+	if len(s.FacilityW) != len(s.Ticks) || len(s.Ticks) == 0 {
+		cols = cols[:len(cols)-numFacilityColumns]
 	}
-	if err := cw.Write(header); err != nil {
+	row := make([]string, len(cols))
+	for c := range cols {
+		row[c] = cols[c].name
+	}
+	if err := cw.Write(row); err != nil {
 		return err
 	}
 	for i := range s.Ticks {
-		row := []string{
-			strconv.Itoa(s.Ticks[i]),
-			strconv.FormatFloat(s.PowerW[i], 'f', 2, 64),
-			strconv.Itoa(s.ServersOn[i]),
-			strconv.Itoa(s.ViolSM[i]),
-			strconv.FormatFloat(s.PerfLoss[i], 'f', 4, 64),
-			strconv.FormatFloat(s.TempProxy[i], 'f', 2, 64),
-			strconv.FormatFloat(s.HeadroomGrp[i], 'f', 2, 64),
-			strconv.FormatFloat(s.HeadroomEnc[i], 'f', 2, 64),
-			strconv.FormatFloat(s.HeadroomLoc[i], 'f', 2, 64),
-		}
-		if withFacility {
-			row = append(row,
-				strconv.FormatFloat(s.FacilityW[i], 'f', 2, 64),
-				strconv.FormatFloat(s.PUE[i], 'f', 4, 64),
-				strconv.FormatFloat(s.CoolingW[i], 'f', 2, 64),
-				strconv.FormatFloat(s.OutsideC[i], 'f', 2, 64),
-			)
+		for c := range cols {
+			row[c] = strconv.FormatFloat(cols[c].v[i], 'f', cols[c].prec, 64)
 		}
 		if err := cw.Write(row); err != nil {
 			return err

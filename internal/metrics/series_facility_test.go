@@ -96,13 +96,13 @@ func TestSeriesRestorePreservesFacilityHook(t *testing.T) {
 	if len(resumed.FacilityW) != 30 {
 		t.Fatalf("resumed series has %d facility samples, want 30 (hook lost on Restore?)", len(resumed.FacilityW))
 	}
-	if !orig.BitEqual(&resumed) {
-		t.Error("resumed series not bit-identical to the uninterrupted one")
+	if d := orig.Diff(&resumed); d != "" {
+		t.Errorf("resumed series not bit-identical to the uninterrupted one: %s", d)
 	}
 }
 
-// BitEqual covers the facility columns: flipping one bit in any of them must
-// break equality.
+// Diff covers the facility columns: a perturbation of one sample in any of
+// them is reported at that sample's tick under the column's CSV name.
 func TestSeriesBitEqualCoversFacility(t *testing.T) {
 	build := func() *Series {
 		cl := testutil.StandaloneCluster(t, 2, 50, 0.5)
@@ -121,12 +121,23 @@ func TestSeriesBitEqualCoversFacility(t *testing.T) {
 		b := build()
 		old := col[3]
 		col[3] = old + 1e-9
-		if a.BitEqual(b) {
-			t.Errorf("BitEqual ignored a %s perturbation", name)
+		d := a.Diff(b)
+		if want := "tick 3: " + name + ": "; !strings.HasPrefix(d, want) {
+			t.Errorf("%s perturbation: Diff = %q, want prefix %q", name, d, want)
 		}
 		col[3] = old
-		if !a.BitEqual(b) {
-			t.Fatalf("series not equal after restoring %s", name)
+		if d := a.Diff(b); d != "" {
+			t.Fatalf("series differ after restoring %s: %s", name, d)
 		}
+	}
+	// A series without the facility model lacks the columns entirely.
+	var bare Series
+	cl := testutil.StandaloneCluster(t, 2, 50, 0.5)
+	for k := 0; k < 10; k++ {
+		cl.Advance(k)
+		bare.Observe(k, cl)
+	}
+	if d, want := a.Diff(&bare), "tick 0: facility_w: "; !strings.HasPrefix(d, want) || !strings.HasSuffix(d, " vs missing") {
+		t.Errorf("facility vs bare: Diff = %q, want %q... vs missing", d, want)
 	}
 }

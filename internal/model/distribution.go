@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -16,7 +17,20 @@ import (
 // Share is one weighted profile in a Distribution.
 type Share struct {
 	Name   string // profile name, resolved via Lookup
-	Weight int    // relative share, >= 1
+	Weight int    // relative share, in [1, maxWeight]
+}
+
+// maxWeight bounds a share's weight. Weights are relative, so the bound
+// costs no expressiveness; it keeps the integer apportionment in Models
+// (n times a weight, and the weights' sum) far from overflow.
+const maxWeight = 1 << 20
+
+// checkWeight rejects a weight outside [1, maxWeight].
+func (s Share) checkWeight() error {
+	if s.Weight < 1 || s.Weight > maxWeight {
+		return fmt.Errorf("model: distribution: share %q weight %d outside [1, %d]", s.Name, s.Weight, maxWeight)
+	}
+	return nil
 }
 
 // Distribution is an ordered list of weighted shares. Order matters: it
@@ -24,8 +38,8 @@ type Share struct {
 type Distribution []Share
 
 // ParseDistribution parses "name:weight,name:weight,..." (weight optional,
-// default 1). Every name must resolve in the registry; parsing fails fast
-// with the offending token.
+// default 1, at most 2^20). Every name must resolve in the registry; parsing
+// fails fast with the offending token.
 func ParseDistribution(spec string) (Distribution, error) {
 	var d Distribution
 	for _, tok := range strings.Split(spec, ",") {
@@ -42,8 +56,8 @@ func ParseDistribution(spec string) (Distribution, error) {
 			}
 			w = n
 		}
-		if w < 1 {
-			return nil, fmt.Errorf("model: distribution %q: weight %d in %q must be >= 1", spec, w, tok)
+		if w < 1 || w > maxWeight {
+			return nil, fmt.Errorf("model: distribution %q: weight %d in %q outside [1, %d]", spec, w, tok, maxWeight)
 		}
 		m, err := Lookup(name)
 		if err != nil {
@@ -92,11 +106,16 @@ func (d Distribution) Models(n int) ([]*Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.Weight < 1 {
-			return nil, fmt.Errorf("model: distribution: share %q weight %d must be >= 1", s.Name, s.Weight)
+		if err := s.checkWeight(); err != nil {
+			return nil, err
 		}
 		models[i] = m
 		total += s.Weight
+	}
+	// The apportionment multiplies n by weights (summing to total) and the
+	// round-robin multiplies counts (<= n) by n.
+	if n > math.MaxInt/max(total, n) {
+		return nil, fmt.Errorf("model: distribution: %d servers at total weight %d overflows the apportionment", n, total)
 	}
 	// Largest-remainder apportionment: floor everyone, then hand the
 	// leftover slots to the largest fractional remainders (share order
@@ -148,8 +167,8 @@ func (d Distribution) Validate() error {
 		return fmt.Errorf("model: distribution: empty")
 	}
 	for _, s := range d {
-		if s.Weight < 1 {
-			return fmt.Errorf("model: distribution: share %q weight %d must be >= 1", s.Name, s.Weight)
+		if err := s.checkWeight(); err != nil {
+			return err
 		}
 		if _, err := Lookup(s.Name); err != nil {
 			return err

@@ -269,3 +269,33 @@ func names(ms []*Model) []string {
 	}
 	return out
 }
+
+// Weights large enough to wrap n·weight around used to come out as a wrong
+// fleet (60 ServerB for "bladea:MaxInt64,serverb:1", a 59/1 split for two
+// equal 2^62 weights). They are now rejected by the parser, Validate and
+// Models.
+func TestDistributionRejectsOverflowingWeights(t *testing.T) {
+	for _, spec := range []string{
+		"bladea:9223372036854775807,serverb:1",
+		"bladea:153722867280912931,serverb:1",
+		"bladea:4611686018427387904,serverb:4611686018427387904",
+		"bladea:1048577",
+	} {
+		if d, err := ParseDistribution(spec); err == nil {
+			t.Errorf("ParseDistribution(%q) = %v, want an error", spec, d)
+		}
+	}
+	huge := Distribution{{Name: "BladeA", Weight: 1 << 62}, {Name: "ServerB", Weight: 1 << 62}}
+	if err := huge.Validate(); err == nil {
+		t.Error("Validate accepted a 2^62 weight")
+	}
+	if ms, err := huge.Models(60); err == nil {
+		t.Errorf("Models accepted a 2^62 weight (%d servers)", len(ms))
+	}
+	if _, err := (Distribution{{Name: "BladeA", Weight: 1}}).Models(1 << 62); err == nil {
+		t.Error("Models accepted n whose apportionment overflows")
+	}
+	if _, err := ParseDistribution("bladea:1048576,serverb:1"); err != nil {
+		t.Errorf("maxWeight itself rejected: %v", err)
+	}
+}

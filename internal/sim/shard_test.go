@@ -52,17 +52,6 @@ func shardCounts() []int {
 	return counts
 }
 
-// resultBits flattens a finalized result for exact comparison.
-func resultBits(r metrics.Result) [9]uint64 {
-	return [9]uint64{
-		uint64(r.Ticks),
-		math.Float64bits(r.AvgPower), math.Float64bits(r.PeakPower),
-		math.Float64bits(r.PerfLoss), math.Float64bits(r.ViolSM),
-		math.Float64bits(r.ViolEM), math.Float64bits(r.ViolGM),
-		math.Float64bits(r.ViolSMWatts), math.Float64bits(r.AvgServersOn),
-	}
-}
-
 // shardRun is one finished run's comparable state: the collector's
 // accumulated state, the finalized metrics, and every controller's State
 // bytes in stack order.
@@ -122,9 +111,8 @@ func TestShardDeterminism(t *testing.T) {
 				if !bytes.Equal(got.collector, ref.collector) {
 					t.Errorf("shards=%d: collector state diverged from serial run", shards)
 				}
-				if g, w := resultBits(got.result), resultBits(ref.result); g != w {
-					t.Errorf("shards=%d: finalized metrics diverged:\n got %v\nwant %v\n(%s vs %s)",
-						shards, g, w, got.result, ref.result)
+				if d := ref.result.Diff(got.result); d != "" {
+					t.Errorf("shards=%d: finalized metrics diverged from serial run: %s", shards, d)
 				}
 				if fmt.Sprint(got.names) != fmt.Sprint(ref.names) {
 					t.Fatalf("shards=%d: stack %v, serial stack %v", shards, got.names, ref.names)

@@ -60,26 +60,17 @@ verify: lint
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeLoad' -benchtime 5x -count=1 ./internal/serve
 
-# lint enforces two API boundaries. (1) The columnar store: the per-server
-# struct (cluster.Server) and the struct slice (cl.Servers) were removed in
-# the struct-of-arrays redesign, and nothing outside internal/cluster may
-# grow them back or poke columns directly. The wire-format
-# cluster.ServerState (checkpoints) is explicitly allowed. (2) The model
-# registry: model.ByName is a deprecated nil-returning shim kept for source
-# compatibility — every caller outside internal/model must use
-# model.Lookup, which returns an error naming the known profiles.
+# lint enforces the columnar store's API boundary: the per-server struct
+# (cluster.Server) and the struct slice (cl.Servers) were removed in the
+# struct-of-arrays redesign, and nothing outside internal/cluster may grow
+# them back or poke columns directly. The wire-format cluster.ServerState
+# (checkpoints) is explicitly allowed.
 lint:
 	@bad=$$(grep -rn --include='*.go' --exclude-dir=.git -E \
 		'cluster\.Server([^A-Za-z0-9_]|$$)|\bcl\.Servers\b' . \
 		| grep -v '^\./internal/cluster/' | grep -v 'cluster\.ServerState' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed cluster.Server API referenced outside internal/cluster:"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.git -E 'model\.ByName\(' . \
-		| grep -v '^\./internal/model/' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated model.ByName used outside internal/model (use model.Lookup):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -100,8 +100,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"addr", srv.Addr.String(), "paths", "/metrics /healthz /debug/pprof/")
 	}
 
-	// The defaults reach scenarios that experiments build internally
-	// (baselines, chaos runs); the options cover the explicit path.
+	// Experiments build their scenarios internally, so the shard count
+	// reaches every run (baselines, chaos runs) as the process default.
 	experiments.SetDefaultShards(*shards)
 	var profiler *prof.Profiler
 	if *timeline != "" {
@@ -112,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		experiments.WithTicks(*ticks),
 		experiments.WithSeed(*seed),
 		experiments.WithParallelism(*parallel),
-		experiments.WithShards(*shards),
 	}
 	// Resumable batches: each settled experiment's tables persist in a slot
 	// store keyed by (name, ticks, seed), so a rerun after a kill or failure

@@ -96,7 +96,12 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Run(context.Background(), spec.Scenario(), cs)
+	ctx := context.Background()
+	baseline, err := experiments.BaselinePower(ctx, spec.Scenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.RunVsBaseline(ctx, spec.Scenario(), cs, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}

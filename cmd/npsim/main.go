@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"nopower/internal/checkpoint"
@@ -35,9 +36,7 @@ import (
 	"nopower/internal/obs"
 	"nopower/internal/obs/prof"
 	"nopower/internal/runner"
-	"nopower/internal/sim"
 	"nopower/internal/trace"
-	"nopower/internal/tracegen"
 )
 
 func main() {
@@ -48,20 +47,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("npsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var spec experiments.RunSpec
+	bindRunFlags(fs, &spec)
 	var (
-		modelName = fs.String("model", "BladeA", "hardware profile from the registry ("+strings.Join(model.Names(), ", ")+")")
-		profiles  = fs.String("profiles", "", "heterogeneous fleet distribution, e.g. bladea:3,rack-2u-32:1 (overrides -model)")
-		mix       = fs.String("mix", "180", "workload mix: 180, 60L, 60M, 60H, 60HH, 60HHH, aiburst")
-		stack     = fs.String("stack", "coordinated", "controller stack preset")
-		ticks     = fs.Int("ticks", experiments.DefaultTicks, "simulation length in ticks")
-		seed      = fs.Int64("seed", 42, "trace/policy seed")
-		budGrp    = fs.Float64("cap-grp", 0.20, "group budget headroom off max power")
-		budEnc    = fs.Float64("cap-enc", 0.15, "enclosure budget headroom off max power")
-		budLoc    = fs.Float64("cap-loc", 0.10, "local budget headroom off max power")
-		pol       = fs.String("policy", "proportional", "EM/GM division policy")
-		noOff     = fs.Bool("no-off", false, "forbid powering idle machines down")
-		migTicks  = fs.Int("migration-ticks", 10, "migration penalty window")
-		alphaM    = fs.Float64("alpha-m", 0.10, "migration performance overhead")
 		series    = fs.String("series", "", "write a per-tick time-series CSV to this path")
 		stride    = fs.Int("series-stride", 1, "record every Nth tick in the series")
 		traceFile = fs.String("traces", "", "load workloads from a CSV (nptrace format) instead of generating -mix")
@@ -69,84 +57,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose   = fs.Bool("v", false, "print scenario details")
 		httpAddr  = fs.String("http", "", "serve /metrics, /healthz and /debug/pprof on this address for the run's duration (e.g. :8080)")
 		traceOut  = fs.String("trace", "", "write controller actuation events as NDJSON to this path")
-		chaosCase = fs.String("chaos", "", "inject a chaos scenario: "+strings.Join(experiments.ChaosCaseNames(), ", "))
-		faultPol  = fs.String("fault-policy", "fail", "reaction to a controller panic: fail, degrade, propagate")
 		ckptDir   = fs.String("checkpoint-dir", "", "write crash-safe snapshots into this directory")
 		ckptEvery = fs.Int("checkpoint-every", 500, "checkpoint interval in ticks (with -checkpoint-dir)")
 		resume    = fs.Bool("resume", false, "resume from the latest checkpoint in -checkpoint-dir; the other flags must match the checkpointed run")
-		facility  = fs.Bool("facility", false, "co-simulate the facility (UPS/PDU losses, weather-derated cooling, PUE) with the FM budget above the GM")
-		feedW     = fs.Float64("facility-feed", 0, "utility feed capacity in W (0 = sized to carry the operator budget on an average day)")
-		shards    = fs.Int("shards", 1, "goroutines per simulation tick for the plant/EC advance (results are bit-identical at any value)")
 		timeline  = fs.String("timeline", "", "write a Chrome trace-event timeline of the run's internal phases to this path (open in Perfetto)")
 		tlCap     = fs.Int("timeline-cap", 0, "span ring capacity for -timeline (0 = default; oldest spans are overwritten when full)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	spec, err := core.SpecByName(*stack)
-	if err != nil {
-		fmt.Fprintf(stderr, "%v (stacks: %v)\n", err, core.StackNames())
-		return 2
-	}
-	policy, err := sim.FaultPolicyByName(*faultPol)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	spec.Policy = *pol
-	spec.AllowOff = spec.AllowOff && !*noOff
-	spec.Shards = *shards
-	if *facility {
-		// The facility loop implies the cooling zone manager: the chiller
-		// model is the thermal side of the same co-simulation.
-		spec.EnableFacility, spec.EnableCooling = true, true
-	}
-	if *feedW != 0 {
-		spec.FacilityFeedW = *feedW
-	}
-
-	if *profiles != "" {
-		modelSet := false
-		fs.Visit(func(f *flag.Flag) { modelSet = modelSet || f.Name == "model" })
-		if modelSet {
-			fmt.Fprintln(stderr, "-model and -profiles are mutually exclusive")
-			return 2
-		}
-		// Canonicalize the spelling now so checkpoint labels (and resume
-		// validation) don't depend on aliases or case.
-		d, err := model.ParseDistribution(*profiles)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		*profiles, *modelName = d.String(), ""
-	}
-
-	sc := experiments.Scenario{
-		Model:          *modelName,
-		Profiles:       *profiles,
-		Mix:            tracegen.Mix(*mix),
-		Budgets:        experiments.Budgets{Grp: *budGrp, Enc: *budEnc, Loc: *budLoc},
-		Ticks:          *ticks,
-		Seed:           *seed,
-		MigrationTicks: *migTicks,
-		AlphaM:         *alphaM,
-	}
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
+		if err == nil {
+			spec.Traces, err = trace.ReadCSV(f, *traceFile)
+			f.Close()
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "traces:", err)
 			return 1
 		}
-		set, err := trace.ReadCSV(f, *traceFile)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, "traces:", err)
-			return 1
-		}
-		sc.Traces = set
 	}
+	// chaos remembers the flag as given: -chaos fault-free normalizes away
+	// but still prints the chaos lines.
+	chaos := spec.Chaos
+	spec = spec.Normalized()
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -190,21 +128,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profiler = prof.New(*tlCap)
 		o.Prof = profiler
 	}
-	o.FaultPolicy = policy
 	// Capture the FM handle (nil when the spec has no facility loop) for the
 	// facility summary lines after the run.
 	var fmc *fm.Controller
 	o.OnBuild = func(h *core.Handles) { fmc = h.FM }
 
 	// The run-identity labels stamped into checkpoints and validated on
-	// resume: resuming under different settings would not be a continuation,
-	// it would be a silently different simulation.
-	labels := map[string]string{
-		"model": *modelName, "profiles": *profiles, "mix": *mix, "ticks": fmt.Sprint(*ticks),
-		"seed": fmt.Sprint(*seed), "stack": *stack, "policy": *pol,
-		"chaos": *chaosCase, "series-stride": fmt.Sprint(*stride),
-		"facility": fmt.Sprint(spec.EnableFacility),
-	}
+	// resume: the spec's canonical encoding plus the series stride, which
+	// shapes the recorder a resumed run continues.
+	labels := spec.Labels()
+	labels["series-stride"] = fmt.Sprint(*stride)
 	if *ckptDir != "" {
 		o.Checkpoint = &checkpoint.Saver{
 			Dir: *ckptDir, Every: *ckptEvery,
@@ -218,85 +151,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		path, err := checkpoint.Latest(*ckptDir)
+		if err == nil && path == "" {
+			err = fmt.Errorf("no checkpoint in %s", *ckptDir)
+		}
+		var f *checkpoint.File
+		if err == nil {
+			f, err = checkpoint.Read(path)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "resume:", err)
 			return 1
 		}
-		if path == "" {
-			fmt.Fprintf(stderr, "resume: no checkpoint in %s\n", *ckptDir)
-			return 1
-		}
-		f, err := checkpoint.Read(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "resume:", err)
-			return 1
-		}
-		for k, want := range labels {
-			if got := f.Meta.Labels[k]; got != want {
-				fmt.Fprintf(stderr, "resume: checkpoint %s was written with %s=%q, this run has %s=%q\n",
-					path, k, got, k, want)
-				return 2
-			}
+		if diff := labelDiff(f.Meta.Labels, labels); diff != "" {
+			fmt.Fprintf(stderr, "resume: checkpoint %s was written by a different run: %s\n", path, diff)
+			return 2
 		}
 		o.Resume = f
 		logger.Info("resuming from checkpoint", "path", path, "tick", f.Meta.Tick)
 	}
-	var res metrics.Result
-	var baseline float64
-	disabled := -1
-	if *chaosCase != "" {
-		cse, err := experiments.ChaosCaseByName(*chaosCase)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		row, err := experiments.RunChaos(ctx, sc, spec, cse, o)
-		if err != nil {
-			fmt.Fprintln(stderr, "run:", err)
-			return 1
-		}
-		res, disabled = row.Result, row.Disabled
-	} else {
-		baseline, err = experiments.BaselinePower(ctx, sc)
-		if err != nil {
-			fmt.Fprintln(stderr, "baseline:", err)
-			return 1
-		}
-		res, err = experiments.RunObserved(ctx, sc, spec, baseline, o)
-		if err != nil {
-			fmt.Fprintln(stderr, "run:", err)
-			return 1
-		}
+	baseline, err := experiments.BaselinePower(ctx, spec.Scenario())
+	if err != nil {
+		fmt.Fprintln(stderr, "baseline:", err)
+		return 1
+	}
+	res, disabled, err := spec.Run(ctx, baseline, o)
+	if err != nil {
+		fmt.Fprintln(stderr, "run:", err)
+		return 1
 	}
 	if o.Series != nil {
-		f, err := os.Create(*series)
-		if err != nil {
-			fmt.Fprintln(stderr, "series:", err)
-			return 1
-		}
-		if err := o.Series.WriteCSV(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "series:", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*series, o.Series.WriteCSV); err != nil {
 			fmt.Fprintln(stderr, "series:", err)
 			return 1
 		}
 		logger.Info("series written", "samples", o.Series.Len(), "path", *series)
 	}
 	if profiler != nil {
-		f, err := os.Create(*timeline)
-		if err != nil {
-			fmt.Fprintln(stderr, "timeline:", err)
-			return 1
-		}
-		if err := profiler.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "timeline:", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*timeline, profiler.WriteChromeTrace); err != nil {
 			fmt.Fprintln(stderr, "timeline:", err)
 			return 1
 		}
@@ -319,17 +210,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *verbose {
-		hw := "model=" + *modelName
-		if *profiles != "" {
-			hw = "profiles=" + *profiles
+		hw := "model=" + spec.Model
+		if spec.Profiles != "" {
+			hw = "profiles=" + spec.Profiles
 		}
 		fmt.Fprintf(stdout, "scenario: %s mix=%s budgets=%s ticks=%d seed=%d stack=%s policy=%s\n",
-			hw, *mix, sc.Budgets.Label(), *ticks, *seed, *stack, *pol)
-		if *chaosCase != "" {
-			fmt.Fprintf(stdout, "chaos: %s (fault policy %s)\n", *chaosCase, policy)
-		} else {
-			fmt.Fprintf(stdout, "baseline: %.0f W average (no power management)\n", baseline)
+			hw, spec.Mix, spec.Scenario().Budgets.Label(), spec.Ticks, spec.Seed, spec.Stack, spec.Policy)
+		if chaos != "" {
+			policy, _ := spec.Fault()
+			fmt.Fprintf(stdout, "chaos: %s (fault policy %s)\n", chaos, policy)
 		}
+		fmt.Fprintf(stdout, "baseline: %.0f W average (no power management)\n", baseline)
 	}
 	fmt.Fprintf(stdout, "avg power      %8.0f W\n", res.AvgPower)
 	fmt.Fprintf(stdout, "peak power     %8.0f W\n", res.PeakPower)
@@ -349,8 +240,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "IT budget      %8.0f W  (feed %.0f W)\n", budget, feed)
 		fmt.Fprintf(stdout, "feed viol      %8d ticks\n", viol)
 	}
-	if disabled >= 0 {
+	if chaos != "" {
 		fmt.Fprintf(stdout, "disabled ctrls %8d\n", disabled)
 	}
 	return 0
+}
+
+// bindRunFlags binds npsim's run flags to spec: every flag that says what
+// is simulated, as opposed to how the run is observed or persisted.
+func bindRunFlags(fs *flag.FlagSet, spec *experiments.RunSpec) {
+	fs.StringVar(&spec.Model, "model", "", "hardware profile from the registry ("+strings.Join(model.Names(), ", ")+"; default BladeA)")
+	fs.StringVar(&spec.Profiles, "profiles", "", "heterogeneous fleet distribution, e.g. bladea:3,rack-2u-32:1 (excludes -model)")
+	fs.StringVar(&spec.Mix, "mix", "180", "workload mix: 180, 60L, 60M, 60H, 60HH, 60HHH, aiburst")
+	fs.StringVar(&spec.Stack, "stack", "coordinated", "controller stack preset")
+	fs.IntVar(&spec.Ticks, "ticks", experiments.DefaultTicks, "simulation length in ticks")
+	fs.Int64Var(&spec.Seed, "seed", 42, "trace/policy seed")
+	fs.Float64Var(&spec.CapGrp, "cap-grp", 0.20, "group budget headroom off max power")
+	fs.Float64Var(&spec.CapEnc, "cap-enc", 0.15, "enclosure budget headroom off max power")
+	fs.Float64Var(&spec.CapLoc, "cap-loc", 0.10, "local budget headroom off max power")
+	fs.StringVar(&spec.Policy, "policy", "proportional", "EM/GM division policy")
+	fs.BoolVar(&spec.NoOff, "no-off", false, "forbid powering idle machines down")
+	fs.IntVar(&spec.MigrationTicks, "migration-ticks", 10, "migration penalty window")
+	fs.Float64Var(&spec.AlphaM, "alpha-m", 0.10, "migration performance overhead")
+	fs.StringVar(&spec.Chaos, "chaos", "", "inject a chaos scenario: "+strings.Join(experiments.ChaosCaseNames(), ", "))
+	fs.StringVar(&spec.FaultPolicy, "fault-policy", "fail", "reaction to a controller panic: fail, degrade, propagate")
+	fs.BoolVar(&spec.Facility, "facility", false, "co-simulate the facility (UPS/PDU losses, weather-derated cooling, PUE) with the FM budget above the GM")
+	fs.Float64Var(&spec.FacilityFeedW, "facility-feed", 0, "utility feed capacity in W (0 = sized to carry the operator budget on an average day)")
+	fs.IntVar(&spec.Shards, "shards", 1, "goroutines per simulation tick for the plant/EC advance (results are bit-identical at any value)")
+}
+
+// writeFile creates path and fills it with write, reporting the first
+// error, the close included.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// labelDiff names, in key order, every label whose value differs between a
+// checkpoint's run and this one (a missing label reads as ""), and returns
+// "" when none does.
+func labelDiff(ckpt, run map[string]string) string {
+	var diffs []string
+	for _, labels := range []map[string]string{ckpt, run} {
+		for k := range labels {
+			if ckpt[k] != run[k] {
+				diffs = append(diffs, fmt.Sprintf("%s=%q there, %q here", k, ckpt[k], run[k]))
+			}
+		}
+	}
+	slices.Sort(diffs)
+	return strings.Join(slices.Compact(diffs), "; ")
 }

@@ -139,20 +139,6 @@ func newChaosEngine(sc Scenario, spec core.Spec, cse ChaosCase) (*sim.Engine, *c
 	return eng, h, nil
 }
 
-// RunChaos executes one scenario against one stack: the fault schedule is
-// compiled into an EventInjector registered ahead of the stack (so the
-// controllers of a tick see the perturbed state, like any workload change),
-// the crash target — if any — is wrapped with the chaos crasher, and the
-// engine runs under o.FaultPolicy.
-func RunChaos(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, o Observers) (ChaosRow, error) {
-	sc = sc.normalized()
-	eng, res, err := execute(ctx, sc, spec, cse, 0, o, sc.Ticks)
-	if err != nil {
-		return ChaosRow{}, fmt.Errorf("chaos %s: %w", cse.Name, err)
-	}
-	return ChaosRow{Scenario: cse.Name, Result: res, Disabled: len(eng.Disabled())}, nil
-}
-
 // chaosScenario is the soak's base setup: the paper's blade hardware with
 // the high-utilization 60HH mix, where budget headroom is scarce enough that
 // a mishandled fault shows up as group-budget violations.
@@ -185,14 +171,14 @@ func chaosJobs() []chaosJob {
 // stack) order.
 func ChaosData(ctx context.Context, opts Options) ([]ChaosRow, error) {
 	opts = opts.normalized()
-	sc := chaosScenario(opts)
+	sc := chaosScenario(opts).normalized()
 	return runner.Map(ctx, opts.Parallelism, chaosJobs(), func(ctx context.Context, j chaosJob) (ChaosRow, error) {
-		row, err := RunChaos(ctx, sc, j.spec, j.cse, Observers{FaultPolicy: sim.FaultDegrade})
+		// The soak compares violations, not savings: baseline 0 skips them.
+		eng, res, err := execute(ctx, sc, j.spec, j.cse, 0, Observers{FaultPolicy: sim.FaultDegrade}, sc.Ticks)
 		if err != nil {
 			return ChaosRow{}, fmt.Errorf("%s/%s: %w", j.cse.Name, j.stack, err)
 		}
-		row.Stack = j.stack
-		return row, nil
+		return ChaosRow{Scenario: j.cse.Name, Stack: j.stack, Result: res, Disabled: len(eng.Disabled())}, nil
 	})
 }
 

@@ -10,6 +10,18 @@ import (
 	"nopower/internal/sim"
 )
 
+// runChaos runs one soak case against one stack through the package's run
+// path, with baseline 0 as the soak does.
+func runChaos(t *testing.T, sc Scenario, spec core.Spec, cse ChaosCase, o Observers) ChaosRow {
+	t.Helper()
+	sc = sc.normalized()
+	eng, res, err := execute(context.Background(), sc, spec, cse, 0, o, sc.Ticks)
+	if err != nil {
+		t.Fatalf("%s: %v", cse.Name, err)
+	}
+	return ChaosRow{Scenario: cse.Name, Result: res, Disabled: len(eng.Disabled())}
+}
+
 // soakTicks keeps the chaos soak fast enough for the -race gate while still
 // spanning several flap cycles and a post-crash steady state.
 const soakTicks = 600
@@ -21,15 +33,9 @@ const soakTicks = 600
 // must stay bounded relative to its fault-free anchor.
 func TestChaosSoak(t *testing.T) {
 	sc := chaosScenario(Options{Ticks: soakTicks, Seed: 42})
-	ctx := context.Background()
-
 	run := func(t *testing.T, spec core.Spec, cse ChaosCase, o Observers) ChaosRow {
 		t.Helper()
-		row, err := RunChaos(ctx, sc, spec, cse, o)
-		if err != nil {
-			t.Fatalf("%s: %v", cse.Name, err)
-		}
-		return row
+		return runChaos(t, sc, spec, cse, o)
 	}
 
 	base := run(t, core.Coordinated(), ChaosCase{Name: "fault-free"},
@@ -100,19 +106,10 @@ func TestChaosSoak(t *testing.T) {
 // violation than the coordinated hierarchy.
 func TestChaosUncoordinatedDegrades(t *testing.T) {
 	sc := chaosScenario(Options{Ticks: soakTicks, Seed: 42})
-	ctx := context.Background()
 	var coord, uncoord float64
 	for _, cse := range ChaosCases() {
-		row, err := RunChaos(ctx, sc, core.Coordinated(), cse,
-			Observers{FaultPolicy: sim.FaultDegrade})
-		if err != nil {
-			t.Fatalf("%s coordinated: %v", cse.Name, err)
-		}
-		rowU, err := RunChaos(ctx, sc, core.Uncoordinated(), cse,
-			Observers{FaultPolicy: sim.FaultDegrade})
-		if err != nil {
-			t.Fatalf("%s uncoordinated: %v", cse.Name, err)
-		}
+		row := runChaos(t, sc, core.Coordinated(), cse, Observers{FaultPolicy: sim.FaultDegrade})
+		rowU := runChaos(t, sc, core.Uncoordinated(), cse, Observers{FaultPolicy: sim.FaultDegrade})
 		t.Logf("%-14s coord ViolGM=%.4f uncoord ViolGM=%.4f", cse.Name, row.Result.ViolGM, rowU.Result.ViolGM)
 		coord += row.Result.ViolGM
 		uncoord += rowU.Result.ViolGM

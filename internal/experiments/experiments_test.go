@@ -457,9 +457,8 @@ func TestExtensionsShape(t *testing.T) {
 
 // Tables render with headers and at least one row for every experiment.
 func TestAllTablesRender(t *testing.T) {
-	opts := Options{Ticks: 600, Seed: 42}
 	for _, name := range Names() {
-		tables, err := RunExperiment(ctx, name, WithOptions(opts))
+		tables, err := RunExperiment(ctx, name, WithTicks(600), WithSeed(42))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

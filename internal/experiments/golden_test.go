@@ -60,11 +60,11 @@ func TestRegenerateGoldenAoS(t *testing.T) {
 
 	// Uninterrupted run for the reference result bits.
 	var full metrics.Series
-	fullRow, err := RunChaos(ctx, sc, spec, cse, Observers{Series: &full, FaultPolicy: sim.FaultDegrade})
+	_, fullRes, err := execute(ctx, sc, spec, cse, 0, Observers{Series: &full, FaultPolicy: sim.FaultDegrade}, sc.Ticks)
 	if err != nil {
 		t.Fatalf("full run: %v", err)
 	}
-	buf, err := json.MarshalIndent(resultToBits(fullRow.Result), "", "  ")
+	buf, err := json.MarshalIndent(resultToBits(fullRes), "", "  ")
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}

@@ -23,11 +23,12 @@ func fig7Scenario() Scenario {
 // tick), while the coordinated stack — where the SM actuates r_ref instead
 // — produces exactly zero.
 func TestUncoordinatedStackConflictsCoordinatedClean(t *testing.T) {
+	sc := fig7Scenario().normalized()
 	run := func(spec core.Spec) *obs.ConflictDetector {
 		t.Helper()
 		det := obs.NewConflictDetector()
-		if _, err := RunObserved(context.Background(), fig7Scenario(), spec, 0,
-			Observers{Tracer: det}); err != nil {
+		if _, _, err := execute(context.Background(), sc, spec, ChaosCase{}, 0,
+			Observers{Tracer: det}, sc.Ticks); err != nil {
 			t.Fatal(err)
 		}
 		return det
@@ -51,16 +52,16 @@ func TestUncoordinatedStackConflictsCoordinatedClean(t *testing.T) {
 	}
 }
 
-// TestRunObservedAttachments checks RunObserved wires all three observers
-// into one run: the ring recorder sees events, the registry sees ticks, and
-// the result matches the plain RunVsBaseline path.
+// TestRunObservedAttachments checks the run path wires both observers into
+// one run: the ring recorder sees events, the registry sees ticks, and the
+// result matches the plain RunVsBaseline path.
 func TestRunObservedAttachments(t *testing.T) {
-	sc := fig7Scenario()
+	sc := fig7Scenario().normalized()
 	sc.Ticks = 300
 	rec := obs.NewRingRecorder(0)
 	reg := obs.NewRegistry()
-	res, err := RunObserved(context.Background(), sc, core.Coordinated(), 0,
-		Observers{Tracer: rec, Metrics: reg})
+	_, res, err := execute(context.Background(), sc, core.Coordinated(), ChaosCase{}, 0,
+		Observers{Tracer: rec, Metrics: reg}, sc.Ticks)
 	if err != nil {
 		t.Fatal(err)
 	}

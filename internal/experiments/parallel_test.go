@@ -16,7 +16,8 @@ import (
 // two runs can be compared byte-for-byte.
 func renderAll(t *testing.T, name string, opts Options) string {
 	t.Helper()
-	tables, err := RunExperiment(context.Background(), name, WithOptions(opts))
+	tables, err := RunExperiment(context.Background(), name,
+		WithTicks(opts.Ticks), WithSeed(opts.Seed), WithParallelism(opts.Parallelism))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

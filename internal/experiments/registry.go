@@ -12,9 +12,8 @@ import (
 )
 
 // Options tunes an experiment run. Zero values select the paper-faithful
-// defaults; tests and benchmarks shrink Ticks for speed. Construct it with
-// the With* functional options (the canonical API); the struct remains
-// exported so positional literals keep compiling.
+// defaults; tests and benchmarks shrink Ticks for speed. RunExperiment
+// takes it as With* functional options.
 type Options struct {
 	// Ticks is the per-simulation length (0 = DefaultTicks).
 	Ticks int
@@ -22,14 +21,10 @@ type Options struct {
 	Seed int64
 	// Parallelism bounds the worker pool that fans independent simulation
 	// jobs out (0 = GOMAXPROCS, 1 = serial). Results are deterministic at
-	// any setting: tables are keyed by job, never by completion order.
+	// any setting: tables are keyed by job, never by completion order. The
+	// goroutines inside each simulation tick are the process default set by
+	// SetDefaultShards.
 	Parallelism int
-	// Shards bounds the goroutines used inside each simulation tick (the
-	// sharded plant/EC advance; 0 = the package default set by
-	// SetDefaultShards, which itself defaults to serial). Orthogonal to
-	// Parallelism — that knob fans out across runs, this one inside a run —
-	// and, like it, never changes results.
-	Shards int
 }
 
 func (o Options) normalized() Options {
@@ -55,17 +50,13 @@ func WithSeed(s int64) Option { return func(o *Options) { o.Seed = s } }
 // WithParallelism bounds the experiment worker pool (0 = GOMAXPROCS).
 func WithParallelism(p int) Option { return func(o *Options) { o.Parallelism = p } }
 
-// WithShards bounds the per-tick goroutines inside each simulation
-// (0 = package default).
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// defaultShards is the process-wide fallback for Options.Shards/
-// Scenario.Shards, set by the CLIs' -shards flag. Atomic because experiment
-// jobs read it from worker goroutines.
+// defaultShards is the process-wide fallback for Scenario.Shards, set by
+// npexp's -shards flag. Atomic because experiment jobs read it from worker
+// goroutines.
 var defaultShards atomic.Int64
 
 // SetDefaultShards sets the process-wide default per-tick shard count used
-// when a scenario/spec/options leaves Shards at 0. Sharding is a pure
+// when a scenario and its spec leave Shards at 0. Sharding is a pure
 // execution knob — results are bitwise identical at every value.
 func SetDefaultShards(n int) { defaultShards.Store(int64(n)) }
 
@@ -89,19 +80,6 @@ func SetDefaultProfiler(p *prof.Profiler) { defaultProfiler.Store(p) }
 // DefaultProfiler reports the process-wide default span profiler (nil when
 // unset).
 func DefaultProfiler() *prof.Profiler { return defaultProfiler.Load() }
-
-// WithOptions overlays a whole Options struct — the bridge for callers
-// migrating from the positional form.
-func WithOptions(opts Options) Option { return func(o *Options) { *o = opts } }
-
-// BuildOptions folds functional options over the zero value.
-func BuildOptions(opts ...Option) Options {
-	var o Options
-	for _, apply := range opts {
-		apply(&o)
-	}
-	return o
-}
 
 // Runner executes one experiment and renders its artifact tables. The
 // context cancels the run between simulation ticks and between jobs.
@@ -163,13 +141,9 @@ func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	o := BuildOptions(opts...)
-	if o.Shards != 0 {
-		// Experiments build their scenarios internally, so the per-run shard
-		// request travels via the process default. Concurrent batches with
-		// different values interleave benignly: sharding never changes
-		// results, only wall clock.
-		SetDefaultShards(o.Shards)
+	var o Options
+	for _, apply := range opts {
+		apply(&o)
 	}
 	return e.run(ctx, o)
 }

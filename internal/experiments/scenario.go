@@ -211,27 +211,12 @@ func (sc Scenario) clusterFromSet(set *trace.Set) (*cluster.Cluster, error) {
 	return cluster.New(cfg, set)
 }
 
-// Run executes one (scenario, spec) pair against the scenario's baseline and
-// returns the finalized metrics.
-func Run(ctx context.Context, sc Scenario, spec core.Spec) (metrics.Result, error) {
-	sc = sc.normalized()
-	baseline, err := BaselinePower(ctx, sc)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	return RunVsBaseline(ctx, sc, spec, baseline)
-}
-
 // RunVsBaseline executes one (scenario, spec) pair against a pre-computed
 // baseline average power, letting callers share the baseline across specs.
 func RunVsBaseline(ctx context.Context, sc Scenario, spec core.Spec, baselineAvgPower float64) (metrics.Result, error) {
-	return RunRecorded(ctx, sc, spec, baselineAvgPower, nil)
-}
-
-// RunRecorded is RunVsBaseline with an optional per-tick time-series
-// recorder attached to the engine.
-func RunRecorded(ctx context.Context, sc Scenario, spec core.Spec, baselineAvgPower float64, series *metrics.Series) (metrics.Result, error) {
-	return RunObserved(ctx, sc, spec, baselineAvgPower, Observers{Series: series})
+	sc = sc.normalized()
+	_, res, err := execute(ctx, sc, spec, ChaosCase{}, baselineAvgPower, Observers{}, sc.Ticks)
+	return res, err
 }
 
 // Observers bundles the optional observability attachments of a run. The
@@ -252,9 +237,9 @@ type Observers struct {
 	// never changes results — profiled runs are bitwise identical.
 	Prof *prof.Profiler
 	// FaultPolicy selects the engine's reaction to a controller panic (the
-	// zero value is sim.FaultFail: recover and fail the run). It rides in
-	// this bundle because, like the attachments, it is a per-run engine knob
-	// orthogonal to what is being simulated.
+	// zero value is sim.FaultFail: recover and fail the run). RunSpec.Run
+	// sets it from the spec; the chaos soak and the identity harness, which
+	// run scenarios directly, set it here.
 	FaultPolicy sim.FaultPolicy
 	// OnTick, when non-nil, is called after every advanced tick with the
 	// tick index and the plant — the general per-tick observation hook
@@ -356,14 +341,6 @@ func (o Observers) finish() error {
 		return nil
 	}
 	return o.Checkpoint.Flush()
-}
-
-// RunObserved is RunVsBaseline with observability attachments: a time-series
-// recorder, an actuation tracer, and/or a live metrics registry.
-func RunObserved(ctx context.Context, sc Scenario, spec core.Spec, baselineAvgPower float64, o Observers) (metrics.Result, error) {
-	sc = sc.normalized()
-	_, res, err := execute(ctx, sc, spec, ChaosCase{}, baselineAvgPower, o, sc.Ticks)
-	return res, err
 }
 
 // execute is the package's one run path. It builds the engine for (sc,

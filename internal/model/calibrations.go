@@ -52,18 +52,3 @@ func ServerB() *Model {
 		OffWatts: 0,
 	}
 }
-
-// ByName resolves a calibration by its name, returning nil for unknown
-// names.
-//
-// Deprecated: use Lookup, which resolves against the full profile registry
-// and returns an error naming the known profiles instead of a nil that every
-// caller must remember to check. ByName survives only for backward
-// compatibility and is banned outside this package by `make lint`.
-func ByName(name string) *Model {
-	m, err := Lookup(name)
-	if err != nil {
-		return nil
-	}
-	return m
-}

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -189,6 +188,11 @@ func (s *Server) Submit(spec JobSpec) (View, error) {
 	if err := spec.Validate(); err != nil {
 		return View{}, err
 	}
+	if spec.FaultPolicy == "propagate" {
+		// A re-raised controller panic would unwind through the pool worker
+		// and take every tenant's jobs down with the daemon.
+		return View{}, errors.New("serve: fault_policy propagate would crash the daemon (use fail or degrade)")
+	}
 	j := &Job{
 		ID:        newJobID(),
 		Spec:      spec,
@@ -290,11 +294,6 @@ func isCancellation(err error) bool {
 // compute is the cache-miss path: actually run the simulation, resuming
 // from the job's latest checkpoint when one exists.
 func (s *Server) compute(ctx context.Context, j *Job) (Output, error) {
-	sc := j.Spec.Scenario()
-	spec, err := j.Spec.CoreSpec()
-	if err != nil {
-		return Output{}, err
-	}
 	o := experiments.Observers{
 		Progress: func(done, _ int) { j.progress.Store(int64(done)) },
 	}
@@ -310,42 +309,29 @@ func (s *Server) compute(ctx context.Context, j *Job) (Output, error) {
 			o.Checkpoint = &checkpoint.Saver{
 				Dir:      j.dir,
 				Every:    s.cfg.CheckpointEvery,
-				Meta:     checkpoint.Meta{Experiment: j.ID, Labels: j.Spec.labels()},
+				Meta:     checkpoint.Meta{Experiment: j.ID, Labels: j.Spec.Labels()},
 				Registry: s.reg,
 			}
 		}
 	}
-	baseline, err := s.baselines.GetCtx(ctx, j.Spec.baselineKey(), func() (float64, error) {
-		return experiments.BaselinePower(ctx, sc)
+	baseline, err := s.baselines.GetCtx(ctx, baselineKey(j.Spec), func() (float64, error) {
+		return experiments.BaselinePower(ctx, j.Spec.Scenario())
 	})
 	if err != nil {
 		return Output{}, err
 	}
-	res, err := experiments.RunObserved(ctx, sc, spec, baseline, o)
-	if err != nil {
-		return Output{}, err
-	}
-	return Output{Result: res, BaselineW: baseline}, nil
-}
-
-// labels renders the spec for checkpoint metadata.
-func (s JobSpec) labels() map[string]string {
-	n := s.Normalized()
-	return map[string]string{
-		"model": n.Model,
-		"mix":   n.Mix,
-		"stack": n.Stack,
-		"ticks": strconv.Itoa(n.Ticks),
-		"seed":  strconv.FormatInt(n.Seed, 10),
-	}
+	res, _, err := j.Spec.Run(ctx, baseline, o)
+	return Output{Result: res, BaselineW: baseline}, err
 }
 
 // baselineKey keys the shared baseline cache: only the scenario fields
-// matter — the controller stack never touches a controller-free run.
-func (s JobSpec) baselineKey() string {
+// matter — the controller-free run reads no stack, budget, facility, fault
+// or execution setting.
+func baselineKey(s JobSpec) string {
 	c := s.Normalized()
 	c.Stack, c.Policy, c.NoOff, c.Shards = "", "", false, 0
 	c.CapGrp, c.CapEnc, c.CapLoc = 0, 0, 0
+	c.Facility, c.FacilityFeedW, c.Chaos, c.FaultPolicy = false, 0, "", ""
 	return c.Key()
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,11 @@ import (
 	"time"
 
 	"nopower/internal/checkpoint"
+	"nopower/internal/core"
 	"nopower/internal/experiments"
 	"nopower/internal/metrics"
+	"nopower/internal/sim"
+	"nopower/internal/tracegen"
 )
 
 // testSpec is a small, fast scenario (4 workloads) with a per-test seed so
@@ -21,16 +25,22 @@ func testSpec(seed int64, ticks int) JobSpec {
 	return JobSpec{Mix: "scale4", Ticks: ticks, Seed: seed}
 }
 
-// directResult runs the spec straight through the experiments layer — the
-// ground truth every daemon path must match bitwise (metrics.Result is a
-// comparable struct of float64s, so == is exact bit equality).
+// directResult runs the spec's scenario and stack straight through the
+// experiments layer — the ground truth every daemon path must match bitwise
+// (metrics.Result is a comparable struct of float64s, so == is exact bit
+// equality).
 func directResult(t *testing.T, spec JobSpec) metrics.Result {
 	t.Helper()
 	cs, err := spec.CoreSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.Run(context.Background(), spec.Scenario(), cs)
+	ctx := context.Background()
+	baseline, err := experiments.BaselinePower(ctx, spec.Scenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiments.RunVsBaseline(ctx, spec.Scenario(), cs, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +106,40 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, bad := range []JobSpec{
-		{Model: "NoSuchModel"},
-		{Stack: "nosuchstack"},
-		{Mix: "bogus"},
-		{Ticks: -4},
+	for _, c := range []struct {
+		spec JobSpec
+		want string // a fragment the error must carry
+	}{
+		{JobSpec{Model: "NoSuchModel"}, "BladeA"},
+		{JobSpec{Stack: "nosuchstack"}, "uncoordinated"},
+		{JobSpec{Mix: "bogus"}, "bogus"},
+		{JobSpec{Ticks: -4}, "ticks"},
+		// Unknown names fail with the known ones listed.
+		{JobSpec{Policy: "bogus"}, "fairshare"},
+		{JobSpec{Chaos: "bogus"}, "sm-crash"},
+		{JobSpec{FaultPolicy: "bogus"}, "degrade"},
+		// Valid for npsim, but a re-raised panic would kill the daemon.
+		{JobSpec{Chaos: "sm-crash", FaultPolicy: "propagate"}, "propagate"},
+		// Budgets live in [0, 1); overheads in [0, 1].
+		{JobSpec{CapGrp: 1.5}, "cap_grp"},
+		{JobSpec{CapEnc: 1}, "cap_enc"},
+		{JobSpec{CapLoc: -0.1}, "cap_loc"},
+		{JobSpec{AlphaV: -2}, "alpha_v"},
+		{JobSpec{AlphaM: 1.01}, "alpha_m"},
+		{JobSpec{MigrationTicks: -3}, "migration_ticks"},
+		{JobSpec{Shards: -1}, "shards"},
+		{JobSpec{FacilityFeedW: -1}, "facility_feed_w"},
+		// Non-finite floats, which npsim's flag parser accepts.
+		{JobSpec{CapGrp: math.NaN()}, "cap_grp"},
+		{JobSpec{AlphaM: math.Inf(1)}, "alpha_m"},
+		{JobSpec{FacilityFeedW: math.Inf(1)}, "facility_feed_w"},
+		{JobSpec{CapLoc: math.Inf(-1)}, "cap_loc"},
 	} {
-		if _, err := s.Submit(bad); err == nil {
-			t.Errorf("spec %+v accepted", bad)
+		_, err := s.Submit(c.spec)
+		if err == nil {
+			t.Errorf("spec %+v accepted", c.spec)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("spec %+v: error %q does not mention %q", c.spec, err, c.want)
 		}
 	}
 }
@@ -471,6 +507,11 @@ func TestKeyCanonicalization(t *testing.T) {
 		{Stack: "coordinated", Ticks: experiments.DefaultTicks},
 		{Seed: 42, Policy: "proportional"},
 		{Shards: 7}, // execution knob: never changes results
+		// Alias spellings resolve to one registry profile.
+		{Model: "bladea"},
+		{Model: "blade-a"},
+		// Spelled-out defaults of the new fields.
+		{Chaos: "fault-free", FaultPolicy: "fail"},
 	}
 	for i, spec := range same {
 		if spec.Key() != base {
@@ -485,6 +526,10 @@ func TestKeyCanonicalization(t *testing.T) {
 		{Seed: 43},
 		{NoOff: true},
 		{CapGrp: 0.25, CapEnc: 0.20, CapLoc: 0.15},
+		{Facility: true},
+		{FacilityFeedW: 30000},
+		{Chaos: "sm-crash"},
+		{FaultPolicy: "degrade"},
 	}
 	for i, spec := range diff {
 		if spec.Key() == base {
@@ -524,5 +569,90 @@ func TestSpecProfiles(t *testing.T) {
 	}
 	if a == (JobSpec{}.Key()) {
 		t.Error("heterogeneous spec must not collide with the default key")
+	}
+}
+
+// TestKeysPinned pins the dedup key of specs already in canonical form: the
+// spec's move into experiments and its new fields must not re-key a single
+// cached result or npbench golden.
+func TestKeysPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec JobSpec
+		key  string
+	}{
+		{JobSpec{}, "41ffa3511a3b17c37c1a9876f3728fbba0450e10ca01d3e139d87683e1f344cd"},
+		{JobSpec{Mix: "60L", Stack: "coordinated"}, "b3187e8249a78c3583d736d48ff9c481f572f8723926fc11d78a2bc1da7044c9"},
+		{JobSpec{Profiles: "bladea:3,rack-2u-32:1", Mix: "60L"}, "eb7e40860a6bb912e485d3d170eeef570b10d038b24b9c30707881d36deb93de"},
+	} {
+		if got := c.spec.Key(); got != c.key {
+			t.Errorf("%+v: key %s, want %s", c.spec, got, c.key)
+		}
+	}
+}
+
+// TestRunSpecFieldsServed submits E21's uncoordinated row and a chaos case,
+// the two runs a job could not describe before the spec carried facility,
+// chaos and fault-policy fields. Each output must equal the scenario-level
+// run of the same inputs, bit for bit.
+func TestRunSpecFieldsServed(t *testing.T) {
+	s, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	facility := core.Uncoordinated()
+	facility.EnableFacility, facility.EnableCooling = true, true
+	crash, err := experiments.ChaosCaseByName("sm-crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec  JobSpec
+		sc    experiments.Scenario
+		stack core.Spec
+		cse   experiments.ChaosCase
+		o     experiments.Observers
+	}{
+		{
+			spec:  JobSpec{Mix: "aiburst", Stack: "uncoordinated", Facility: true, Ticks: 600},
+			sc:    experiments.Scenario{Model: "BladeA", Mix: tracegen.MixAIBurst, Budgets: experiments.Base201510(), Ticks: 600},
+			stack: facility,
+		},
+		{
+			spec:  JobSpec{Mix: "60HH", Chaos: "sm-crash", FaultPolicy: "degrade", Ticks: 600},
+			sc:    experiments.Scenario{Model: "BladeA", Mix: tracegen.Mix60HH, Budgets: experiments.Base201510(), Ticks: 600},
+			stack: core.Coordinated(),
+			cse:   crash,
+			o:     experiments.Observers{FaultPolicy: sim.FaultDegrade},
+		},
+	} {
+		v, err := s.Submit(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitTerminal(t, s, v.ID, 60*time.Second)
+		if final.Status != StatusDone {
+			t.Fatalf("%+v: %s (%s)", c.spec, final.Status, final.Error)
+		}
+		baseline, err := experiments.BaselinePower(ctx, c.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// CheckIdentity's reference is the scenario-level run through the
+		// experiments run path; its variants must agree with it too.
+		rep, err := experiments.CheckIdentity(ctx, c.sc, c.stack, c.cse, baseline, c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if d := rep.Result.Diff(final.Output.Result); d != "" {
+			t.Errorf("%+v: served result differs from the scenario-level run: %s", c.spec, d)
+		}
+		if final.Output.BaselineW != baseline {
+			t.Errorf("%+v: baseline %v, want %v", c.spec, final.Output.BaselineW, baseline)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"nopower/internal/trace"
 )
@@ -297,6 +298,15 @@ func aiBurstMixSize(mix Mix) (n int, ok bool) {
 // heteroMixSize parses a HeteroMix name (not the bare "hetero").
 func heteroMixSize(mix Mix) (n int, ok bool) {
 	return sizedMix(mix, "hetero%d")
+}
+
+// Known reports whether BuildMix generates the named mix. It generates
+// nothing, so checking a scaleN name costs the same at any N.
+func (m Mix) Known() bool {
+	_, scale := scaleMixSize(m)
+	_, burst := aiBurstMixSize(m)
+	_, hetero := heteroMixSize(m)
+	return scale || burst || hetero || m == MixAIBurst || m == MixHetero || slices.Contains(AllMixes(), m)
 }
 
 // sizedMix parses a "<prefix><n>" mix name against its format string.

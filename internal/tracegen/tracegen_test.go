@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// TestMixKnown checks Known agrees with BuildMix on which names exist.
+func TestMixKnown(t *testing.T) {
+	for _, m := range []Mix{Mix180, Mix60L, Mix60HHH, MixAIBurst, MixHetero,
+		ScaleMix(4), AIBurstMix(3), HeteroMix(10), "bogus", "scale0", "scale-2", "scale04", "60l", ""} {
+		_, err := BuildMix(m, 1, 1)
+		if m.Known() != (err == nil) {
+			t.Errorf("%q: Known() = %v, BuildMix error %v", m, m.Known(), err)
+		}
+	}
+	if !ScaleMix(1 << 40).Known() {
+		t.Error("a large scale mix is a known name")
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(10, Params{Ticks: 500, Seed: 42})
 	if err != nil {

@@ -100,9 +100,6 @@ func (u *UtilizationLoop) SetReference(ref float64) {
 	u.RRef = Clamp(ref, 0.01, MaxRRef)
 }
 
-// StableLambdaBound returns the Appendix-A global-stability bound 1/r_ref.
-func (u *UtilizationLoop) StableLambdaBound() float64 { return 1 / u.RRef }
-
 // CappingLoop implements the SM control law (Fig. 6, eq. SM):
 //
 //	r_ref(k̂) = r_ref(k̂-1) − β_loc·(cap_loc − pow(k̂-1))

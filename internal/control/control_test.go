@@ -328,15 +328,6 @@ func TestFrequencyPlantObserve(t *testing.T) {
 	}
 }
 
-func TestPowerPlantRoundTrip(t *testing.T) {
-	p := PowerPlant{C: 50, D: 120}
-	for _, rRef := range []float64{0.2, 0.5, 0.9} {
-		if got := p.RRefFor(p.Power(rRef)); math.Abs(got-rRef) > 1e-12 {
-			t.Errorf("RRefFor(Power(%v)) = %v", rRef, got)
-		}
-	}
-}
-
 // Loop interface compliance.
 var (
 	_ Loop = (*UtilizationLoop)(nil)

@@ -51,8 +51,3 @@ type PowerPlant struct {
 func (p PowerPlant) Power(rRef float64) float64 {
 	return -p.C*rRef + p.D
 }
-
-// RRefFor returns the utilization target that yields the given power.
-func (p PowerPlant) RRefFor(pow float64) float64 {
-	return (p.D - pow) / p.C
-}

@@ -182,8 +182,9 @@ func (c *Controller) Migrations() int { return c.migrations }
 // Unplaced reports how many items could not be feasibly placed, cumulative.
 func (c *Controller) Unplaced() int { return c.unplaced }
 
-// Estimates returns the current per-VM packing demand estimates (telemetry
-// for examples, debugging, and tests).
+// Estimates returns the current per-VM packing demand estimates: the
+// estimator state the VMC tests observe (convergence, the real-utilization
+// correction under throttling, the snapshot round trip).
 func (c *Controller) Estimates(cl *cluster.Cluster) []float64 {
 	out := make([]float64, len(cl.VMs))
 	for i := range cl.VMs {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nopower/internal/testutil"
 	"nopower/internal/tracegen"
 )
 
@@ -50,6 +51,69 @@ func TestScenarioErrors(t *testing.T) {
 	}
 	if _, err := (Scenario{Model: "BladeA", Mix: tracegen.Mix180, Ticks: 10, PStates: []int{1, 2}}).BuildCluster(); err == nil {
 		t.Error("P-state pick without P0 accepted")
+	}
+}
+
+func TestBaselinePowerFlatFleet(t *testing.T) {
+	// Two standalone BladeA servers at P0, r = 0.5·(1+α_V) = 0.55:
+	// 2 · (60 + 40·0.55) = 164 W.
+	sc := Scenario{Model: "BladeA", Traces: testutil.FlatSet(2, 10, 0.5), Ticks: 5}
+	avg, err := BaselinePower(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg < 163 || avg > 165 {
+		t.Errorf("baseline = %v, want ~164", avg)
+	}
+	sc.Model = "nope"
+	if _, err := BaselinePower(ctx, sc); err == nil {
+		t.Error("cluster build error swallowed")
+	}
+}
+
+// The baseline key covers exactly what the controller-free run reads.
+// AlphaV scales every workload's demand, so scenarios differing only in
+// AlphaV must get their own cached baselines. Budgets, AlphaM,
+// MigrationTicks, shards and every controller-side field of a run spec leave
+// the baseline's bits unchanged, so they must share one key, and the shared
+// value must be each variant's true baseline.
+func TestBaselineCacheKey(t *testing.T) {
+	spec := RunSpec{Mix: "60L", Ticks: 300, Seed: 9}
+	hiV := spec
+	hiV.AlphaV = 0.30
+	for _, s := range []RunSpec{spec, hiV} {
+		want, err := BaselinePower(ctx, s.Scenario())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cachedBaseline(ctx, s.Scenario())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("AlphaV %v: cached baseline %.2f W, want %.2f W", s.AlphaV, got, want)
+		}
+	}
+
+	ref := spec.Scenario()
+	want, err := cachedBaseline(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []RunSpec{
+		{Mix: "60L", Ticks: 300, Seed: 9, AlphaM: 0.5, MigrationTicks: 50},
+		{Mix: "60L", Ticks: 300, Seed: 9, CapGrp: 0.30, CapEnc: 0.25, CapLoc: 0.20},
+		{Mix: "60L", Ticks: 300, Seed: 9, Stack: "uncoordinated", Policy: "fairshare", NoOff: true},
+		{Mix: "60L", Ticks: 300, Seed: 9, Facility: true, Chaos: "sm-crash", FaultPolicy: "degrade", Shards: 2},
+		{Model: "bladea", Mix: "60L", Ticks: 300, Seed: 9},
+	} {
+		sc := v.Scenario()
+		if sc.BaselineKey() != ref.BaselineKey() {
+			t.Errorf("%+v: baseline key differs from %+v", v, spec)
+		}
+		if got, err := BaselinePower(ctx, sc); err != nil || got != want {
+			t.Errorf("%+v: baseline %v (err %v), want the shared %v", v, got, err, want)
+		}
 	}
 }
 
@@ -101,10 +165,15 @@ func TestRegistryComplete(t *testing.T) {
 	if len(names) != 21 {
 		t.Fatalf("registry has %d experiments, want the DESIGN.md §4 set plus models, multiseed, extensions, cooling, chaos, replay, scale, scale100k, facility, hetero", len(names))
 	}
+	seen := map[string]bool{}
 	for _, n := range names {
 		if Describe(n) == "" {
 			t.Errorf("experiment %q lacks a description", n)
 		}
+		if seen[n] {
+			t.Errorf("experiment %q registered twice", n)
+		}
+		seen[n] = true
 	}
 	if _, err := RunExperiment(ctx, "bogus"); err == nil {
 		t.Error("unknown experiment accepted")

@@ -3,12 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"nopower/internal/obs/prof"
 	"nopower/internal/report"
-	"nopower/internal/runner"
 )
 
 // Options tunes an experiment run. Zero values select the paper-faithful
@@ -85,59 +84,70 @@ func DefaultProfiler() *prof.Profiler { return defaultProfiler.Load() }
 // context cancels the run between simulation ticks and between jobs.
 type Runner func(ctx context.Context, opts Options) ([]*report.Table, error)
 
-// registry maps experiment IDs (DESIGN.md §4) to runners.
-var registry = map[string]struct {
+// experiment is one registered experiment: its ID, its runner and the
+// one-line description `npexp list` prints.
+type experiment struct {
+	name string
 	run  Runner
 	desc string
-}{
-	"fig7":       {Fig7, "coordinated vs uncoordinated: violations + perf loss, 4 configs (Fig. 7)"},
-	"fig8":       {Fig8, "isolating controllers: Coordinated / NoVMC / VMCOnly savings (Fig. 8)"},
-	"fig9":       {Fig9, "coordination-interface ablations (Fig. 9)"},
-	"fig10":      {Fig10, "power-budget sensitivity: 20-15-10 / 25-20-15 / 30-25-20 (Fig. 10)"},
-	"pstates":    {PStates, "number of P-states: full ladder vs two extremes (§5.3)"},
-	"machineoff": {MachineOff, "avoiding turning machines off (§5.4)"},
-	"migration":  {Migration, "migration-overhead sensitivity: 10/20/50 % (§5.4)"},
-	"timeconst":  {TimeConstants, "time-constant sensitivity for EC/SM/GM/VMC (§5.4)"},
-	"policies":   {Policies, "EM/GM division-policy choices (§5.4)"},
-	"failover":   {Failover, "thermal-failover prototype: EC+SM under sustained load (§5.1)"},
-	"stability":  {Stability, "Appendix A: EC and SM stability sweeps"},
-	"multiseed":  {MultiSeed, "seed robustness of the headline comparison (beyond the paper)"},
-	"extensions": {Extensions, "§6.1 extensions: VM-level EC, energy-delay objective, CAP, heterogeneity, MIMO"},
-	"models":     {Models, "the Fig. 5 power/performance calibrations and base parameters"},
-	"cooling":    {Cooling, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
-	"chaos":      {Chaos, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},
-	"replay":     {Replay, "chaos soak re-run sharded and killed-and-resumed from checkpoints; verifies bitwise identity"},
-	"scale":      {scale10k.run, "10k-server fleet: sharded and resumed tick engine vs serial, bit-identical results (E17)"},
-	"scale100k":  {scale100k.run, "100k-server fleet: columnar cluster store, sharded and resumed vs serial bit-identity (E18)"},
-	"facility":   {Facility, "facility co-simulation: UPS/PDU losses, weather-derated cooling, PUE, FM budget (E21)"},
-	"hetero":     {Hetero, "heterogeneous fleets: coordinated vs uncoordinated across three profile mixes (E22)"},
+}
+
+// registry lists the experiments in DESIGN.md §4 order, which is the order
+// Names reports and `npexp all` runs them in.
+var registry = []experiment{
+	{"models", Models, "the Fig. 5 power/performance calibrations and base parameters"},
+	{"fig7", Fig7, "coordinated vs uncoordinated: violations + perf loss, 4 configs (Fig. 7)"},
+	{"fig8", Fig8, "isolating controllers: Coordinated / NoVMC / VMCOnly savings (Fig. 8)"},
+	{"fig9", Fig9, "coordination-interface ablations (Fig. 9)"},
+	{"fig10", Fig10, "power-budget sensitivity: 20-15-10 / 25-20-15 / 30-25-20 (Fig. 10)"},
+	{"pstates", PStates, "number of P-states: full ladder vs two extremes (§5.3)"},
+	{"machineoff", MachineOff, "avoiding turning machines off (§5.4)"},
+	{"migration", Migration, "migration-overhead sensitivity: 10/20/50 % (§5.4)"},
+	{"timeconst", TimeConstants, "time-constant sensitivity for EC/SM/GM/VMC (§5.4)"},
+	{"policies", Policies, "EM/GM division-policy choices (§5.4)"},
+	{"failover", Failover, "thermal-failover prototype: EC+SM under sustained load (§5.1)"},
+	{"stability", Stability, "Appendix A: EC and SM stability sweeps"},
+	{"multiseed", MultiSeed, "seed robustness of the headline comparison (beyond the paper)"},
+	{"extensions", Extensions, "§6.1 extensions: VM-level EC, energy-delay objective, CAP, heterogeneity, MIMO"},
+	{"cooling", Cooling, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
+	{"chaos", Chaos, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},
+	{"replay", Replay, "chaos soak re-run sharded and killed-and-resumed from checkpoints; verifies bitwise identity"},
+	{"scale", scale10k.run, "10k-server fleet: sharded and resumed tick engine vs serial, bit-identical results (E17)"},
+	{"scale100k", scale100k.run, "100k-server fleet: columnar cluster store, sharded and resumed vs serial bit-identity (E18)"},
+	{"facility", Facility, "facility co-simulation: UPS/PDU losses, weather-derated cooling, PUE, FM budget (E21)"},
+	{"hetero", Hetero, "heterogeneous fleets: coordinated vs uncoordinated across three profile mixes (E22)"},
 }
 
 // Names lists the registered experiment IDs in DESIGN.md order.
 func Names() []string {
-	order := []string{"models", "fig7", "fig8", "fig9", "fig10", "pstates", "machineoff",
-		"migration", "timeconst", "policies", "failover", "stability", "multiseed",
-		"extensions", "cooling", "chaos", "replay", "scale", "scale100k", "facility", "hetero"}
-	// Guard against drift between the slice and the map.
-	if len(order) != len(registry) {
-		keys := make([]string, 0, len(registry))
-		for k := range registry {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return keys
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
-	return order
+	return names
 }
 
-// Describe returns the one-line description of an experiment.
-func Describe(name string) string { return registry[name].desc }
+// lookup finds a registered experiment by ID.
+func lookup(name string) (experiment, bool) {
+	i := slices.IndexFunc(registry, func(e experiment) bool { return e.name == name })
+	if i < 0 {
+		return experiment{}, false
+	}
+	return registry[i], true
+}
+
+// Describe returns the one-line description of an experiment ("" when the
+// name is not registered).
+func Describe(name string) string {
+	e, _ := lookup(name)
+	return e.desc
+}
 
 // RunExperiment executes a registered experiment by name. This is the
 // canonical entry point: the context cancels the run mid-batch, and the
 // variadic options select ticks, seed, and parallelism.
 func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.Table, error) {
-	e, ok := registry[name]
+	e, ok := lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
@@ -146,33 +156,4 @@ func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.
 		apply(&o)
 	}
 	return e.run(ctx, o)
-}
-
-// baselineCache memoizes no-management baselines across experiments in one
-// process, keyed by the fleet (model or profile distribution), mix, ticks and
-// seed. Budgets are not part of the key: with no controllers nothing acts on
-// a budget, so the baseline's average power does not depend on them. The
-// singleflight semantics matter under the parallel runner: concurrent jobs
-// that share a scenario block on one baseline simulation instead of each
-// running their own.
-var baselineCache runner.Cache[baselineKey, float64]
-
-type baselineKey struct {
-	model    string
-	profiles string
-	mix      string
-	ticks    int
-	seed     int64
-}
-
-// cachedBaseline computes (or reuses) the scenario's baseline average power.
-// The wait on an in-flight computation is context-aware: a cancelled job
-// stops waiting promptly while the computing job (which carries its own
-// context) finishes and settles the cache for everyone else.
-func cachedBaseline(ctx context.Context, sc Scenario) (float64, error) {
-	sc = sc.normalized()
-	key := baselineKey{sc.Model, sc.Profiles, string(sc.Mix), sc.Ticks, sc.Seed}
-	return baselineCache.GetCtx(ctx, key, func() (float64, error) {
-		return BaselinePower(ctx, sc)
-	})
 }

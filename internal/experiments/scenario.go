@@ -16,6 +16,7 @@ import (
 	"nopower/internal/model"
 	"nopower/internal/obs"
 	"nopower/internal/obs/prof"
+	"nopower/internal/runner"
 	"nopower/internal/sim"
 	"nopower/internal/trace"
 	"nopower/internal/tracegen"
@@ -393,4 +394,42 @@ func BaselinePower(ctx context.Context, sc Scenario) (float64, error) {
 		return 0, err
 	}
 	return col.Finalize(0).AvgPower, nil
+}
+
+// BaselineKey identifies a scenario's no-management baseline. It covers
+// exactly what the controller-free run reads: the fleet (model or
+// profiles), the workloads (the named mix, or a caller's trace set by
+// identity, never by value), ticks, seed and the virtualization overhead
+// AlphaV. Budgets, AlphaM, MigrationTicks and the shard count leave the
+// baseline's bits unchanged, so scenarios differing only in those share one
+// baseline (the E7 migration rows among them).
+type BaselineKey struct {
+	model, profiles, mix string
+	traces               *trace.Set
+	ticks                int
+	seed                 int64
+	alphaV               float64
+}
+
+// BaselineKey returns the key of the scenario's baseline. The experiments'
+// process-wide cache and npserved's per-server cache both use it.
+func (sc Scenario) BaselineKey() BaselineKey {
+	sc = sc.normalized()
+	return BaselineKey{sc.Model, sc.Profiles, string(sc.Mix), sc.Traces, sc.Ticks, sc.Seed, sc.AlphaV}
+}
+
+// baselineCache memoizes no-management baselines across experiments in one
+// process. The singleflight semantics matter under the parallel runner:
+// concurrent jobs that share a scenario block on one baseline simulation
+// instead of each running their own.
+var baselineCache runner.Cache[BaselineKey, float64]
+
+// cachedBaseline computes (or reuses) the scenario's baseline average power.
+// The wait on an in-flight computation is context-aware: a cancelled job
+// stops waiting promptly while the computing job (which carries its own
+// context) finishes and settles the cache for everyone else.
+func cachedBaseline(ctx context.Context, sc Scenario) (float64, error) {
+	return baselineCache.GetCtx(ctx, sc.BaselineKey(), func() (float64, error) {
+		return BaselinePower(ctx, sc)
+	})
 }

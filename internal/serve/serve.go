@@ -80,8 +80,9 @@ type Server struct {
 	// cached Output per canonical spec hash, however many tenants ask.
 	cache *runner.Cache[string, Output]
 	// baselines shares the controller-free baseline run across every stack
-	// variant of the same scenario.
-	baselines *runner.Cache[string, float64]
+	// variant of the same scenario, keyed as the experiments' own cache is.
+	// It belongs to the Server, so a restarted daemon starts cold.
+	baselines *runner.Cache[experiments.BaselineKey, float64]
 
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
@@ -122,7 +123,7 @@ func New(cfg Config) (*Server, error) {
 		reg:        cfg.Registry,
 		pool:       runner.NewPool(ctx, cfg.Workers),
 		cache:      &runner.Cache[string, Output]{},
-		baselines:  &runner.Cache[string, float64]{},
+		baselines:  &runner.Cache[experiments.BaselineKey, float64]{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -314,25 +315,15 @@ func (s *Server) compute(ctx context.Context, j *Job) (Output, error) {
 			}
 		}
 	}
-	baseline, err := s.baselines.GetCtx(ctx, baselineKey(j.Spec), func() (float64, error) {
-		return experiments.BaselinePower(ctx, j.Spec.Scenario())
+	sc := j.Spec.Scenario()
+	baseline, err := s.baselines.GetCtx(ctx, sc.BaselineKey(), func() (float64, error) {
+		return experiments.BaselinePower(ctx, sc)
 	})
 	if err != nil {
 		return Output{}, err
 	}
 	res, _, err := j.Spec.Run(ctx, baseline, o)
 	return Output{Result: res, BaselineW: baseline}, err
-}
-
-// baselineKey keys the shared baseline cache: only the scenario fields
-// matter — the controller-free run reads no stack, budget, facility, fault
-// or execution setting.
-func baselineKey(s JobSpec) string {
-	c := s.Normalized()
-	c.Stack, c.Policy, c.NoOff, c.Shards = "", "", false, 0
-	c.CapGrp, c.CapEnc, c.CapLoc = 0, 0, 0
-	c.Facility, c.FacilityFeedW, c.Chaos, c.FaultPolicy = false, 0, "", ""
-	return c.Key()
 }
 
 // setLeader records (or clears) j as the job computing its cache key, so

@@ -509,25 +509,3 @@ func lastName(cs []Controller) string {
 	}
 	return cs[len(cs)-1].Name()
 }
-
-// Baseline runs a controller-free simulation (all machines on at P0) over a
-// cluster built by the supplied factory and returns the average group power
-// — the paper's §5.1 baseline "where no controllers for power management are
-// turned on".
-func Baseline(build func() (*cluster.Cluster, error), ticks int) (float64, error) {
-	return BaselineContext(context.Background(), build, ticks)
-}
-
-// BaselineContext is Baseline with cooperative cancellation.
-func BaselineContext(ctx context.Context, build func() (*cluster.Cluster, error), ticks int) (float64, error) {
-	cl, err := build()
-	if err != nil {
-		return 0, err
-	}
-	eng := New(cl)
-	col, err := eng.RunContext(ctx, ticks)
-	if err != nil {
-		return 0, err
-	}
-	return col.Finalize(0).AvgPower, nil
-}

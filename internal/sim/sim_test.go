@@ -173,21 +173,3 @@ func TestRunContextCancellationCause(t *testing.T) {
 		t.Errorf("plain cancel err = %v", err)
 	}
 }
-
-func TestBaseline(t *testing.T) {
-	build := func() (*cluster.Cluster, error) {
-		return cluster.New(testutil.Config(0, 0, 2), testutil.FlatSet(2, 10, 0.5))
-	}
-	avg, err := Baseline(build, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two BladeA servers at P0, r = 0.55: 2 * (60 + 40*0.55) = 164 W.
-	if avg < 163 || avg > 165 {
-		t.Errorf("baseline = %v, want ~164", avg)
-	}
-	_, err = Baseline(func() (*cluster.Cluster, error) { return nil, errors.New("boom") }, 5)
-	if err == nil {
-		t.Error("builder error swallowed")
-	}
-}

@@ -53,12 +53,6 @@ func (m Model) SteadyTemp(powerW float64) float64 {
 	return m.AmbientC + powerW*m.RthCPerW
 }
 
-// BudgetForTemp returns the constant draw whose equilibrium is the given
-// temperature — how a thermal budget is derived from a trip point.
-func (m Model) BudgetForTemp(tempC float64) float64 {
-	return (tempC - m.AmbientC) / m.RthCPerW
-}
-
 // State is one server's thermal state.
 type State struct {
 	// TempC is the current temperature.

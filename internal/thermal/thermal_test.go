@@ -34,11 +34,12 @@ func TestValidateRejectsNonPhysical(t *testing.T) {
 	}
 }
 
-func TestSteadyTempAndBudgetRoundTrip(t *testing.T) {
+func TestSteadyTemp(t *testing.T) {
 	m := Default()
-	for _, p := range []float64{0, 50, 90, 120} {
-		if got := m.BudgetForTemp(m.SteadyTemp(p)); math.Abs(got-p) > 1e-9 {
-			t.Errorf("round trip at %v W = %v", p, got)
+	// T_amb + P·R_th: 25 °C idle, 65.5 °C at the 90 W budget, 70 °C at 100 W.
+	for p, want := range map[float64]float64{0: 25, 90: 65.5, 100: 70} {
+		if got := m.SteadyTemp(p); math.Abs(got-want) > 1e-9 {
+			t.Errorf("SteadyTemp(%v W) = %v, want %v", p, got, want)
 		}
 	}
 }

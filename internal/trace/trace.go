@@ -107,33 +107,6 @@ func Stack(name string, traces ...*Trace) *Trace {
 	return out
 }
 
-// Resample returns a new trace of length n: shrinking averages consecutive
-// buckets, growing repeats samples. Used to match trace resolution to the
-// simulation tick.
-func (t *Trace) Resample(n int) *Trace {
-	if n <= 0 || t.Len() == 0 {
-		return &Trace{Name: t.Name, Class: t.Class}
-	}
-	out := &Trace{Name: t.Name, Class: t.Class, Demand: make([]float64, n)}
-	ratio := float64(t.Len()) / float64(n)
-	for i := 0; i < n; i++ {
-		lo := int(float64(i) * ratio)
-		hi := int(float64(i+1) * ratio)
-		if hi <= lo {
-			hi = lo + 1
-		}
-		if hi > t.Len() {
-			hi = t.Len()
-		}
-		sum := 0.0
-		for k := lo; k < hi; k++ {
-			sum += t.Demand[k]
-		}
-		out.Demand[i] = sum / float64(hi-lo)
-	}
-	return out
-}
-
 // Stats summarizes a demand series.
 type Stats struct {
 	Mean, Min, Max, StdDev float64

@@ -89,24 +89,6 @@ func TestStack(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	tr := mk("t", 1, 1, 3, 3)
-	down := tr.Resample(2)
-	if down.Len() != 2 || down.Demand[0] != 1 || down.Demand[1] != 3 {
-		t.Errorf("downsample = %v", down.Demand)
-	}
-	up := mk("t", 1, 3).Resample(4)
-	if up.Len() != 4 {
-		t.Fatalf("upsample len = %d", up.Len())
-	}
-	if up.Demand[0] != 1 || up.Demand[3] != 3 {
-		t.Errorf("upsample = %v", up.Demand)
-	}
-	if tr.Resample(0).Len() != 0 {
-		t.Error("Resample(0) should be empty")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	tr := mk("t", 0.1, 0.2, 0.3, 0.4)
 	s := tr.Summarize()

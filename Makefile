@@ -81,10 +81,13 @@ lint:
 # pipeline, and the per-tick shard fan-out. The determinism test repeats ten
 # times because a race between shard workers shows only on the schedules
 # that interleave them, and the packages whose code runs on shard workers
-# (the plant and the two ShardTicker controllers) rerun uncached. verify and
-# the obs coverage floor ride along so one target stays the pre-merge gate.
+# (the plant and the two ShardTicker controllers) rerun uncached. The shared
+# trace set test repeats ten times for the same reason: two engines read one
+# run group's set while one rescales its demand. verify and the obs coverage
+# floor ride along so one target stays the pre-merge gate.
 race: verify cover
 	$(GO) test -race -count=10 -run 'TestShardDeterminism' ./internal/sim
+	$(GO) test -race -count=10 -run 'TestSharedSetConcurrentRuns' ./internal/experiments
 	$(GO) test -race -count=1 ./internal/cluster ./internal/controllers/ec ./internal/controllers/vmec
 	$(GO) test -race ./...
 

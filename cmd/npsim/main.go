@@ -66,6 +66,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// The flags default to 20-15-10, so an all-zero triple was typed out;
+	// a run spec would read it as 20-15-10 and run that silently.
+	if spec.CapGrp == 0 && spec.CapEnc == 0 && spec.CapLoc == 0 {
+		fmt.Fprintln(stderr, "npsim: -cap-grp, -cap-enc and -cap-loc are all 0, which a run spec reads as the paper's 20-15-10; give at least one a nonzero headroom")
+		return 2
+	}
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -86,7 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaos := spec.Chaos
 	spec = spec.Normalized()
 
-	ctx := context.Background()
+	// The run is one run group: the baseline and the managed run share one
+	// trace set.
+	ctx := experiments.ShareTraces(context.Background())
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)

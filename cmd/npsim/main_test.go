@@ -33,6 +33,28 @@ func TestUnknownStack(t *testing.T) {
 	}
 }
 
+// TestZeroBudgetsRejected pins the all-zero headroom triple: a run spec
+// reads it as 20-15-10, so npsim refuses it instead of silently running the
+// base budgets. One zero headroom among nonzero ones is an ordinary budget.
+func TestZeroBudgetsRejected(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-cap-grp", "0", "-cap-enc", "0", "-cap-loc", "0", "-ticks", "10"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	for _, flag := range []string{"-cap-grp", "-cap-enc", "-cap-loc"} {
+		if !strings.Contains(errOut.String(), flag) {
+			t.Errorf("stderr does not name %s: %q", flag, errOut.String())
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused run printed %q", out.String())
+	}
+	errOut.Reset()
+	if code := run([]string{"-mix", "60L", "-cap-grp", "0", "-ticks", "10"}, &out, &errOut); code != 0 {
+		t.Fatalf("-cap-grp 0 alone: exit %d: %s", code, errOut.String())
+	}
+}
+
 func TestSmallCoordinatedRun(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-mix", "60L", "-ticks", "600", "-v"}, &out, &errOut)

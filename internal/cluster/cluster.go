@@ -99,6 +99,10 @@ type Cluster struct {
 
 	Enclosures []*Enclosure
 	VMs        []VM
+	// workloads is the construction trace set, possibly shared with other
+	// clusters and never written: RestoreState reinstalls its traces for VMs
+	// whose snapshot carries no demand.
+	workloads *trace.Set
 	// StaticCapGrp is CAP_GRP, the group's fixed thermal budget.
 	StaticCapGrp float64
 	// FacilityCapGrp is the facility manager's IT-power budget (utility feed
@@ -257,7 +261,10 @@ func reduceTree(ps []unitPartial) unitPartial {
 }
 
 // New builds a cluster and places the workloads one-per-server in order
-// (the paper's initial deployment: 180 workloads on 180 servers).
+// (the paper's initial deployment: 180 workloads on 180 servers). The
+// cluster reads the workloads' traces but never writes them, so one set may
+// back any number of clusters, concurrently: a runtime demand change
+// (ScaleDemand, a RestoreState carrying demand) installs a private copy.
 func New(cfg Config, workloads *trace.Set) (*Cluster, error) {
 	if cfg.Model == nil && cfg.Models == nil {
 		return nil, fmt.Errorf("cluster: nil model")
@@ -305,7 +312,7 @@ func New(cfg Config, workloads *trace.Set) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: negative migration window")
 	}
 
-	c := &Cluster{Cfg: cfg, LastTick: -1}
+	c := &Cluster{Cfg: cfg, LastTick: -1, workloads: workloads}
 	c.on = make([]bool, n)
 	c.pstate = make([]int, n)
 	c.staticCap = make([]float64, n)
@@ -590,12 +597,14 @@ func (c *Cluster) PowerOn(server int) {
 	c.invalidateStats()
 }
 
-// ScaleDemand multiplies every VM's demand trace by factor, in place — the
-// load re-provisioning event. Traces feed the plant directly, so the whole
-// fleet is re-evaluated on the next Advance.
+// ScaleDemand multiplies every VM's demand trace by factor — the load
+// re-provisioning event. Each VM gets a scaled private copy of its trace
+// (marked Mutated, so checkpoints carry it); the trace it had, which may be
+// shared with other clusters, is never written. Traces feed the plant
+// directly, so the whole fleet is re-evaluated on the next Advance.
 func (c *Cluster) ScaleDemand(factor float64) {
 	for i := range c.VMs {
-		c.VMs[i].Trace.Scale(factor)
+		c.VMs[i].Trace = c.VMs[i].Trace.Clone().Scale(factor)
 	}
 	c.markAllDirty()
 }

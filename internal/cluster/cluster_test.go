@@ -392,3 +392,82 @@ func TestStatsNeverStale(t *testing.T) {
 		t.Errorf("ServersOn = %d after PowerOff, want %d", got, before-1)
 	}
 }
+
+// demandBits records every sample of a trace set bit for bit.
+func demandBits(traces []*trace.Trace) [][]uint64 {
+	out := make([][]uint64, len(traces))
+	for i, tr := range traces {
+		for _, d := range tr.Demand {
+			out[i] = append(out[i], math.Float64bits(d))
+		}
+	}
+	return out
+}
+
+// vmTraces lists a cluster's current per-VM traces.
+func vmTraces(c *Cluster) []*trace.Trace {
+	out := make([]*trace.Trace, len(c.VMs))
+	for i := range c.VMs {
+		out[i] = c.VMs[i].Trace
+	}
+	return out
+}
+
+// TestSharedTracesNeverWritten pins the sharing contract: clusters built
+// from one trace set never write through it. ScaleDemand on one cluster and
+// a RestoreState carrying demand on its sibling each install a private
+// copy, so the set and the sibling's demand keep every bit.
+func TestSharedTracesNeverWritten(t *testing.T) {
+	set := smallSet(6, 0.3)
+	set.Traces[2].Demand[7] = 0.45
+	want := demandBits(set.Traces)
+	a, b := mustNew(t, smallCfg(), set), mustNew(t, smallCfg(), set)
+	same := func(what string, got [][]uint64) {
+		t.Helper()
+		for i := range want {
+			for k := range want[i] {
+				if got[i][k] != want[i][k] {
+					t.Fatalf("%s: trace %d tick %d = %v, want %v", what, i, k,
+						math.Float64frombits(got[i][k]), math.Float64frombits(want[i][k]))
+				}
+			}
+		}
+	}
+
+	a.ScaleDemand(1.5)
+	same("set after ScaleDemand", demandBits(set.Traces))
+	same("sibling after ScaleDemand", demandBits(vmTraces(b)))
+	for i, tr := range set.Traces {
+		if tr.Mutated || b.VMs[i].Trace != tr {
+			t.Fatalf("ScaleDemand on one cluster touched trace %d of the set or its sibling", i)
+		}
+	}
+	if got := a.VMs[2].Trace; !got.Mutated || got.Demand[7] != 0.45*1.5 {
+		t.Fatalf("scaled cluster's trace 2: mutated %v, demand %v, want %v", got.Mutated, got.Demand[7], 0.45*1.5)
+	}
+	scaled := demandBits(vmTraces(a))
+
+	pristine := b.State()
+	st := b.State()
+	st.VMs[1].Demand = make([]float64, 100)
+	for k := range st.VMs[1].Demand {
+		st.VMs[1].Demand[k] = 0.9
+	}
+	if err := b.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	same("set after RestoreState", demandBits(set.Traces))
+	if got := demandBits(vmTraces(a)); got[1][0] != scaled[1][0] {
+		t.Fatal("RestoreState on one cluster changed its sibling's demand")
+	}
+	if got := b.VMs[1].Trace; !got.Mutated || got.Demand[0] != 0.9 || got == set.Traces[1] {
+		t.Fatalf("restored demand not installed as a private copy: %+v", got)
+	}
+	// A snapshot without demand puts the construction trace back.
+	if err := b.RestoreState(pristine); err != nil {
+		t.Fatal(err)
+	}
+	if b.VMs[1].Trace != set.Traces[1] {
+		t.Fatal("pristine restore kept the private copy")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nopower/internal/model"
+	"nopower/internal/trace"
 )
 
 // This file is the plant's half of the checkpoint/restore subsystem
@@ -16,8 +17,9 @@ import (
 // swap a calibration mid-run, so the snapshot records each server's model
 // name and restore re-resolves differing names through the profile registry
 // (see ServerState.Model). Trace demand is captured only when a runtime
-// event (sim.ScaleDemand) has mutated it in place; pristine demand is
-// rebuilt.
+// event (sim.ScaleDemand) has given a VM a private, Mutated trace; pristine
+// demand is rebuilt. Restore never writes a trace either: it installs a
+// private copy of captured demand, and the construction trace otherwise.
 
 // ServerState is the mutable per-server plant state.
 type ServerState struct {
@@ -54,10 +56,10 @@ type EnclosureState struct {
 }
 
 // VMState is the mutable per-VM state. Demand is captured only when a
-// runtime event rewrote the trace in place (trace.Trace.Mutated); nil means
-// the rebuilt cluster's pristine demand is already correct. Skipping
-// pristine demand keeps snapshots kilobytes instead of megabytes — the
-// traces dominate everything else combined.
+// runtime event replaced the VM's trace with a scaled private copy
+// (trace.Trace.Mutated); nil means the rebuilt cluster's pristine demand is
+// already correct. Skipping pristine demand keeps snapshots kilobytes
+// instead of megabytes — the traces dominate everything else combined.
 type VMState struct {
 	Server         int
 	MigratingUntil int
@@ -193,9 +195,11 @@ func (c *Cluster) RestoreState(st State) error {
 		if vm.MigratingUntil > c.migHigh {
 			c.migHigh = vm.MigratingUntil
 		}
-		vm.Trace.Mutated = vs.Demand != nil
 		if vs.Demand != nil {
-			vm.Trace.Demand = append([]float64(nil), vs.Demand...)
+			vm.Trace = &trace.Trace{Name: vm.Trace.Name, Class: vm.Trace.Class,
+				Demand: append([]float64(nil), vs.Demand...), Mutated: true}
+		} else {
+			vm.Trace = c.workloads.Traces[i]
 		}
 	}
 	c.StaticCapGrp = st.StaticCapGrp

@@ -105,9 +105,10 @@ type ChaosRow struct {
 // triple: the fault schedule compiled into an EventInjector ahead of the
 // stack, the crash target wrapped with the chaos crasher. sc must already be
 // normalized. Every run of the package builds its engine here, so a resumed
-// or sharded run is structurally identical to the one it is compared with.
-func newChaosEngine(sc Scenario, spec core.Spec, cse ChaosCase) (*sim.Engine, *core.Handles, error) {
-	cl, err := sc.BuildCluster()
+// or sharded run is structurally identical to the one it is compared with,
+// and reads its traces from ctx's run group.
+func newChaosEngine(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase) (*sim.Engine, *core.Handles, error) {
+	cl, err := sc.buildCluster(ctx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,7 +47,7 @@ func CoolingData(ctx context.Context, opts Options) ([]CoolingRow, error) {
 		{"degraded airflow + export", true, true, 0.70},
 	}
 	return runner.Map(ctx, opts.Parallelism, policies, func(ctx context.Context, policy cracPolicy) (CoolingRow, error) {
-		cl, err := sc.BuildCluster()
+		cl, err := sc.buildCluster(ctx)
 		if err != nil {
 			return CoolingRow{}, err
 		}

@@ -153,10 +153,16 @@ func TestScenarioWithProvidedTraces(t *testing.T) {
 	if cl.NumServers() != 60 {
 		t.Errorf("%d servers for 60 provided traces", cl.NumServers())
 	}
-	// The cluster must hold deep copies: mutating it leaves the input alone.
-	cl.VMs[0].Trace.Scale(2)
-	if set.Traces[0].Demand[0] == cl.VMs[0].Trace.Demand[0] {
-		t.Error("provided trace set shared with the cluster")
+	// The cluster reads the caller's set and never writes it: a runtime
+	// demand change lands on the cluster's own copy and leaves the input
+	// alone.
+	want := set.Traces[0].Demand[0]
+	cl.ScaleDemand(2)
+	if got := set.Traces[0].Demand[0]; got != want || set.Traces[0].Mutated {
+		t.Errorf("ScaleDemand wrote the provided set: demand %v, was %v", got, want)
+	}
+	if got := cl.VMs[0].Trace.Demand[0]; got != 2*want {
+		t.Errorf("cluster demand %v after ScaleDemand(2), want %v", got, 2*want)
 	}
 }
 

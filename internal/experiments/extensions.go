@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"nopower/internal/cluster"
 	"nopower/internal/core"
 	"nopower/internal/model"
 	"nopower/internal/platform"
@@ -126,44 +127,36 @@ func extensionStacks(ctx context.Context, opts Options) (*report.Table, error) {
 // half-ServerB fleet (§6.1 extension 5): "easily addressed by including a
 // range of different models in the controllers".
 func extensionHeterogeneous(ctx context.Context, opts Options) (*report.Table, error) {
-	set, err := tracegen.BuildMix(tracegen.Mix180, opts.Ticks, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// Build the mixed cluster: blades stay BladeA, standalone become ServerB.
 	sc := Scenario{Model: "BladeA", Mix: tracegen.Mix180, Budgets: Base201510(),
 		Ticks: opts.Ticks, Seed: opts.Seed}
-	cl, err := sc.clusterFromSet(set)
-	if err != nil {
-		return nil, err
-	}
-	for _, sid := range cl.StandaloneServers() {
-		if err := cl.SetModel(sid, model.ServerB()); err != nil {
-			return nil, err
-		}
-	}
-	baseline := 0.0
-	{
-		bset, err := tracegen.BuildMix(tracegen.Mix180, opts.Ticks, opts.Seed)
+	// The mixed cluster: blades stay BladeA, standalone become ServerB. The
+	// managed run and its baseline each get one, over the group's one set.
+	mixed := func() (*cluster.Cluster, error) {
+		cl, err := sc.buildCluster(ctx)
 		if err != nil {
 			return nil, err
 		}
-		bcl, err := sc.clusterFromSet(bset)
-		if err != nil {
-			return nil, err
-		}
-		for _, sid := range bcl.StandaloneServers() {
-			if err := bcl.SetModel(sid, model.ServerB()); err != nil {
+		for _, sid := range cl.StandaloneServers() {
+			if err := cl.SetModel(sid, model.ServerB()); err != nil {
 				return nil, err
 			}
 		}
-		col, err := sim.New(bcl).RunContext(ctx, opts.Ticks)
-		if err != nil {
-			return nil, err
-		}
-		baseline = col.Finalize(0).AvgPower
+		return cl, nil
 	}
+	bcl, err := mixed()
+	if err != nil {
+		return nil, err
+	}
+	bcol, err := sim.New(bcl).RunContext(ctx, opts.Ticks)
+	if err != nil {
+		return nil, err
+	}
+	baseline := bcol.Finalize(0).AvgPower
 
+	cl, err := mixed()
+	if err != nil {
+		return nil, err
+	}
 	eng, _, err := core.Build(cl, core.Coordinated())
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func TestRegenerateGoldenAoS(t *testing.T) {
 	spec := core.Coordinated()
 
 	// Partial run to the kill tick, snapshot, persist.
-	eng, _, err := newChaosEngine(sc, spec, cse)
+	eng, _, err := newChaosEngine(ctx, sc, spec, cse)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestGoldenAoSStateRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	sc := goldenScenario().normalized()
-	eng, _, err := newChaosEngine(sc, core.Coordinated(), goldenCase())
+	eng, _, err := newChaosEngine(context.Background(), sc, core.Coordinated(), goldenCase())
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

@@ -128,7 +128,7 @@ type fleetBase struct {
 // uncontended run per fleet is cheap).
 func heteroBaseline(ctx context.Context, sc Scenario) (fleetBase, error) {
 	sc = sc.normalized()
-	cl, err := sc.BuildCluster()
+	cl, err := sc.buildCluster(ctx)
 	if err != nil {
 		return fleetBase{}, err
 	}

@@ -77,12 +77,15 @@ func (r IdentityReport) VariantNames() string {
 // Each variant's per-tick series and finalized result (against baseline) are
 // compared with the reference's through Series.Diff and Result.Diff, and the
 // report names each variant's first divergence. The harness owns resuming
-// and checkpointing, so o.Resume and o.Checkpoint must be nil. A non-nil
+// and checkpointing, so o.Resume and o.Checkpoint must be nil. Every run is
+// in one run group (ShareTraces), so the traces are synthesized once, not
+// at every kill; the cluster and stack are still rebuilt at each. A non-nil
 // error means a run failed; a divergence is reported by the report's Err.
 func CheckIdentity(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, baseline float64, o Observers) (IdentityReport, error) {
 	if o.Resume != nil || o.Checkpoint != nil {
 		return IdentityReport{}, errors.New("experiments: CheckIdentity owns resume and checkpointing; leave Observers.Resume and Observers.Checkpoint nil")
 	}
+	ctx = ShareTraces(ctx)
 	sc = sc.normalized()
 	if o.Series == nil {
 		o.Series = new(metrics.Series)

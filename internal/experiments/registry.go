@@ -145,7 +145,8 @@ func Describe(name string) string {
 
 // RunExperiment executes a registered experiment by name. This is the
 // canonical entry point: the context cancels the run mid-batch, and the
-// variadic options select ticks, seed, and parallelism.
+// variadic options select ticks, seed, and parallelism. The experiment is
+// one run group (ShareTraces): its runs share each trace set it needs.
 func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.Table, error) {
 	e, ok := lookup(name)
 	if !ok {
@@ -155,5 +156,5 @@ func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.
 	for _, apply := range opts {
 		apply(&o)
 	}
-	return e.run(ctx, o)
+	return e.run(ShareTraces(ctx), o)
 }

@@ -75,8 +75,9 @@ type Scenario struct {
 	// used by the §5.3 P-state study. Must include 0.
 	PStates []int
 	// Traces, when non-nil, supplies the workloads directly (e.g. loaded
-	// from a user CSV) instead of generating the named Mix. Each BuildCluster
-	// call deep-copies the set so runs stay independent.
+	// from a user CSV) instead of generating the named Mix. Every cluster
+	// built from the scenario reads this one set and none writes it, so the
+	// caller must not change it while those clusters live.
 	Traces *trace.Set
 	// Shards bounds the per-tick goroutines of the engine (core.Spec.Shards).
 	// 0 falls back to the spec's value, then to the package default set by
@@ -143,34 +144,26 @@ func TopologyFor(workloads int) (enclosures, bladesPer, standalone int) {
 	return enclosures, bladesPer, standalone
 }
 
-// BuildCluster materializes a scenario's cluster (fresh traces and state on
-// every call, so repeated runs are independent and reproducible).
+// BuildCluster materializes a scenario's cluster with fresh plant and
+// controller-facing state. The traces are read-only and may be shared: a
+// caller-supplied Traces set backs the cluster as is, never copied, and the
+// cluster never writes through it (a runtime demand change installs a
+// private copy). Outside a run group a named Mix is synthesized afresh.
 func (sc Scenario) BuildCluster() (*cluster.Cluster, error) {
-	sc = sc.normalized()
-	var set *trace.Set
-	if sc.Traces != nil {
-		set = &trace.Set{Name: sc.Traces.Name}
-		for _, tr := range sc.Traces.Traces {
-			set.Traces = append(set.Traces, tr.Clone())
-		}
-	} else {
-		var err error
-		set, err = tracegen.BuildMix(sc.Mix, sc.Ticks, sc.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sc.clusterFromSet(set)
+	return sc.buildCluster(context.Background())
 }
 
-// clusterFromSet builds the scenario cluster around a pre-built trace set
-// (used when a caller wants to inspect or perturb the traces). This is the
-// single model-resolution choke point: every scenario path goes through
-// model.Lookup (or Distribution, which wraps it), so a typo'd profile name
-// fails fast with the list of known profiles instead of surfacing as a nil
-// dereference.
-func (sc Scenario) clusterFromSet(set *trace.Set) (*cluster.Cluster, error) {
+// buildCluster is BuildCluster inside ctx's run group: a named Mix comes
+// from the group's memo (ShareTraces). This is the single model-resolution
+// choke point: every scenario path goes through model.Lookup (or
+// Distribution, which wraps it), so a typo'd profile name fails fast with
+// the list of known profiles instead of surfacing as a nil dereference.
+func (sc Scenario) buildCluster(ctx context.Context) (*cluster.Cluster, error) {
 	sc = sc.normalized()
+	set, err := sc.traces(ctx)
+	if err != nil {
+		return nil, err
+	}
 	enc, blades, standalone, err := topology(set.Len())
 	if err != nil {
 		return nil, err
@@ -351,7 +344,7 @@ func (o Observers) finish() error {
 // result finalized against baseline (0 skips the savings metric). sc must be
 // normalized.
 func execute(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, baseline float64, o Observers, until int) (*sim.Engine, metrics.Result, error) {
-	eng, h, err := newChaosEngine(sc, spec, cse)
+	eng, h, err := newChaosEngine(ctx, sc, spec, cse)
 	if err != nil {
 		return nil, metrics.Result{}, err
 	}
@@ -379,7 +372,7 @@ func execute(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, ba
 // big fleets.
 func BaselinePower(ctx context.Context, sc Scenario) (float64, error) {
 	sc = sc.normalized()
-	cl, err := sc.BuildCluster()
+	cl, err := sc.buildCluster(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -432,4 +425,50 @@ func cachedBaseline(ctx context.Context, sc Scenario) (float64, error) {
 	return baselineCache.GetCtx(ctx, sc.BaselineKey(), func() (float64, error) {
 		return BaselinePower(ctx, sc)
 	})
+}
+
+// traceKey names one synthesized trace set. (Mix, Ticks, Seed) determine
+// the set bit for bit, so the key never hashes trace values.
+type traceKey struct {
+	mix   tracegen.Mix
+	ticks int
+	seed  int64
+}
+
+// traceGroup is one run group's memo of synthesized trace sets: the first
+// job to need a set synthesizes it, concurrent jobs wait for it, and every
+// run of the group reads the one copy. Sets live as long as the group does.
+type traceGroup = runner.Cache[traceKey, *trace.Set]
+
+// traceGroupKey is the context key a run group travels under.
+type traceGroupKey struct{}
+
+// ShareTraces returns ctx carrying a run group, or ctx itself when it
+// already carries one. Every run in the group reads one read-only trace set
+// per (Mix, Ticks, Seed): the baseline and each managed, sharded or resumed
+// run share it instead of re-synthesizing it. RunExperiment and
+// CheckIdentity open a group of their own; npserved opens one per job and
+// npsim one per run. The group keeps each set until its context is
+// dropped, so open it per unit of work — a process-wide group would keep
+// every seed a daemon ever ran.
+func ShareTraces(ctx context.Context) context.Context {
+	if _, ok := ctx.Value(traceGroupKey{}).(*traceGroup); ok {
+		return ctx
+	}
+	return context.WithValue(ctx, traceGroupKey{}, new(traceGroup))
+}
+
+// traces returns the scenario's read-only trace set: the caller's Traces
+// when set, else the set of its Mix, Ticks and Seed — from ctx's run group
+// when there is one, synthesized afresh otherwise. sc must be normalized.
+func (sc Scenario) traces(ctx context.Context) (*trace.Set, error) {
+	if sc.Traces != nil {
+		return sc.Traces, nil
+	}
+	build := func() (*trace.Set, error) { return tracegen.BuildMix(sc.Mix, sc.Ticks, sc.Seed) }
+	g, ok := ctx.Value(traceGroupKey{}).(*traceGroup)
+	if !ok {
+		return build()
+	}
+	return g.GetCtx(ctx, traceKey{sc.Mix, sc.Ticks, sc.Seed}, build)
 }

@@ -46,7 +46,9 @@ type RunSpec struct {
 	// Seed drives trace generation and any stochastic policy (0 = 42).
 	Seed int64 `json:"seed,omitempty"`
 	// CapGrp/CapEnc/CapLoc are the budget headrooms off max power, each in
-	// [0, 1); all three zero selects the paper's base 20-15-10.
+	// [0, 1). All three zero — absent from the JSON, or given as 0 — means
+	// the paper's base 20-15-10, so a spec cannot ask for zero headroom at
+	// every level; npsim refuses that flag triple instead of running 20-15-10.
 	CapGrp float64 `json:"cap_grp,omitempty"`
 	CapEnc float64 `json:"cap_enc,omitempty"`
 	CapLoc float64 `json:"cap_loc,omitempty"`

@@ -293,8 +293,10 @@ func isCancellation(err error) bool {
 }
 
 // compute is the cache-miss path: actually run the simulation, resuming
-// from the job's latest checkpoint when one exists.
+// from the job's latest checkpoint when one exists. The job is one run
+// group: its baseline and managed run share one trace set.
 func (s *Server) compute(ctx context.Context, j *Job) (Output, error) {
+	ctx = experiments.ShareTraces(ctx)
 	o := experiments.Observers{
 		Progress: func(done, _ int) { j.progress.Store(int64(done)) },
 	}

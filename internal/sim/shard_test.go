@@ -43,10 +43,14 @@ func shardTestCluster(t *testing.T, ticks int) *cluster.Cluster {
 
 // shardCounts is the ladder under test: serial, minimal parallelism (which
 // still spawns a worker goroutine, so the race detector sees the concurrent
-// path even on one CPU), and one shard per CPU.
-func shardCounts() []int {
+// path even on one CPU), one shard per CPU, and one more shard than the
+// cluster has units (the engine clamps its workers to the unit count).
+func shardCounts(cl *cluster.Cluster) []int {
 	counts := []int{1, 2}
 	if n := runtime.GOMAXPROCS(0); n > counts[len(counts)-1] {
+		counts = append(counts, n)
+	}
+	if n := len(cl.Units()) + 1; n > counts[len(counts)-1] {
 		counts = append(counts, n)
 	}
 	return counts
@@ -104,7 +108,7 @@ func TestShardDeterminism(t *testing.T) {
 				}
 				return r
 			}
-			counts := shardCounts()
+			counts := shardCounts(shardTestCluster(t, ticks))
 			ref := run(counts[0])
 			for _, shards := range counts[1:] {
 				got := run(shards)

@@ -21,10 +21,11 @@ type Trace struct {
 	Class string
 	// Demand holds one sample per tick, as a fraction of full-speed capacity.
 	Demand []float64
-	// Mutated records that a runtime event rewrote Demand in place (Scale).
-	// Checkpoints skip serializing pristine demand — a cluster rebuilt from
-	// the same scenario already has it — so every runtime in-place mutator
-	// must set this flag.
+	// Mutated records that Demand no longer matches the synthesized or loaded
+	// trace: Scale sets it, and a cluster marks the private copies it
+	// installs on a runtime demand change. Checkpoints skip serializing
+	// pristine demand — a cluster rebuilt from the same scenario already has
+	// it — so every runtime demand mutator must set this flag.
 	Mutated bool
 }
 

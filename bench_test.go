@@ -1,5 +1,5 @@
-// Benchmarks: one per reproduced table/figure (DESIGN.md §4). Each benchmark
-// regenerates its artifact end-to-end — trace synthesis, baseline run,
+// Benchmarks: one sub-benchmark per reproduced table/figure (DESIGN.md §4).
+// Each regenerates its artifact end-to-end — trace synthesis, baseline run,
 // controller-stack runs — at a reduced tick count so `go test -bench=.`
 // finishes in minutes; `cmd/npexp` runs the same experiments at full length.
 // Micro-benchmarks for the hot paths (plant advance, packing, controller
@@ -56,47 +56,14 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7 regenerates Fig. 7 (E1): coordinated vs uncoordinated
-// violations and performance loss across the four base configurations.
-func BenchmarkFig7(b *testing.B) { benchExperiment(b, "fig7") }
-
-// BenchmarkFig8 regenerates Fig. 8 (E2): per-controller savings isolation
-// across the six workload mixes and both systems.
-func BenchmarkFig8(b *testing.B) { benchExperiment(b, "fig8") }
-
-// BenchmarkFig9 regenerates Fig. 9 (E3): the coordination-interface
-// ablation table.
-func BenchmarkFig9(b *testing.B) { benchExperiment(b, "fig9") }
-
-// BenchmarkFig10 regenerates Fig. 10 (E4): the power-budget sweep.
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10") }
-
-// BenchmarkPStates regenerates the §5.3 P-state-count study (E5).
-func BenchmarkPStates(b *testing.B) { benchExperiment(b, "pstates") }
-
-// BenchmarkMachineOff regenerates the §5.4 machine-off study (E6).
-func BenchmarkMachineOff(b *testing.B) { benchExperiment(b, "machineoff") }
-
-// BenchmarkMigration regenerates the §5.4 migration-overhead study (E7).
-func BenchmarkMigration(b *testing.B) { benchExperiment(b, "migration") }
-
-// BenchmarkTimeConstants regenerates the §5.4 time-constant study (E8).
-func BenchmarkTimeConstants(b *testing.B) { benchExperiment(b, "timeconst") }
-
-// BenchmarkPolicies regenerates the §5.4 policy study (E9).
-func BenchmarkPolicies(b *testing.B) { benchExperiment(b, "policies") }
-
-// BenchmarkFailover regenerates the §5.1 thermal-failover prototype (E10).
-func BenchmarkFailover(b *testing.B) { benchExperiment(b, "failover") }
-
-// BenchmarkStability regenerates the Appendix-A stability sweeps (E11).
-func BenchmarkStability(b *testing.B) { benchExperiment(b, "stability") }
-
-// BenchmarkMultiSeed regenerates the seed-robustness check (E12).
-func BenchmarkMultiSeed(b *testing.B) { benchExperiment(b, "multiseed") }
-
-// BenchmarkExtensions regenerates the §6.1 extension suite (E13).
-func BenchmarkExtensions(b *testing.B) { benchExperiment(b, "extensions") }
+// BenchmarkExperiment regenerates each table experiment of DESIGN.md §4
+// (E1–E13) end to end, one sub-benchmark per experiment name.
+func BenchmarkExperiment(b *testing.B) {
+	for _, name := range []string{"fig7", "fig8", "fig9", "fig10", "pstates", "machineoff",
+		"migration", "timeconst", "policies", "failover", "stability", "multiseed", "extensions"} {
+		b.Run(name, func(b *testing.B) { benchExperiment(b, name) })
+	}
+}
 
 // --- Ablation benches for the design choices DESIGN.md §5 calls out ---
 

@@ -166,9 +166,13 @@ func diff(pathA, pathB string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// snapshotDiff compares two snapshots component by component. State blobs
-// are gob encodings of map-free structs, so a byte comparison is meaningful:
-// equal state encodes equal bytes.
+// snapshotDiff compares two snapshots component by component. The cluster
+// state is re-encoded here, in one process, so equal plant state compares
+// equal whichever binaries wrote the files. The other blobs are compared as
+// written: gob encodings of map-free structs, in which equal state gives
+// equal bytes when one binary wrote both files. gob numbers types per
+// binary (see package state), so files from two different binaries can differ
+// in a blob whose state is equal.
 func snapshotDiff(a, b *sim.Snapshot) ([]componentDelta, error) {
 	var deltas []componentDelta
 	if a.Tick != b.Tick {

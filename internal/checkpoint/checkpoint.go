@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"nopower/internal/sim"
+	"nopower/internal/state"
 )
 
 // Version is the current snapshot format version. Decoders reject any other
@@ -79,6 +80,9 @@ type File struct {
 	Meta  Meta
 	State *sim.Snapshot
 }
+
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(File{}) }
 
 // gzipWriters recycles deflate state across Encode calls. A fresh gzip
 // writer allocates over a megabyte of window and hash tables — far more

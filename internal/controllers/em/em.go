@@ -144,6 +144,9 @@ type ctrlState struct {
 	Policy     []byte
 }
 
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(ctrlState{}) }
+
 // State implements the simulator's Snapshotter interface.
 func (c *Controller) State() ([]byte, error) {
 	st := ctrlState{Violations: c.violations, Epochs: c.epochs}

@@ -236,6 +236,9 @@ type ctrlState struct {
 	Epochs     int
 }
 
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(ctrlState{}) }
+
 // State implements the simulator's Snapshotter interface.
 func (c *Controller) State() ([]byte, error) {
 	st := ctrlState{

@@ -282,6 +282,9 @@ type managerState struct {
 	Ticks          int
 }
 
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(managerState{}) }
+
 // State implements the simulator's Snapshotter interface.
 func (m *Manager) State() ([]byte, error) {
 	st := managerState{

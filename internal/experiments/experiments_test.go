@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"nopower/internal/metrics"
 	"nopower/internal/testutil"
 	"nopower/internal/tracegen"
 )
@@ -186,26 +188,70 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// E1 — Fig. 7: coordination must cut SM-level violations in every config.
-func TestFig7Shape(t *testing.T) {
-	rows, err := Fig7Data(ctx, fastOpts())
+// swept is one sweep's runs and their results, in run order.
+type swept struct {
+	runs []sweepRun
+	res  []metrics.Result
+}
+
+// sweepData sweeps e at opts.
+func sweepData(t *testing.T, e tableSweep, opts Options) swept {
+	t.Helper()
+	runs, res, err := e.data(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("%d rows, want 8", len(rows))
-	}
-	byConfig := map[Fig7Config]map[string]float64{}
-	for _, r := range rows {
-		if byConfig[r.Config] == nil {
-			byConfig[r.Config] = map[string]float64{}
+	return swept{runs, res}
+}
+
+// get returns the result of the run with these labels.
+func (s swept) get(t *testing.T, labels ...string) metrics.Result {
+	t.Helper()
+	key := strings.Join(labels, "/")
+	for i, r := range s.runs {
+		if r.key() == key {
+			return s.res[i]
 		}
-		byConfig[r.Config][r.Stack] = r.Result.ViolSM
 	}
-	for cfg, stacks := range byConfig {
-		if stacks["Coordinated"] >= stacks["Uncoordinated"] {
-			t.Errorf("%s/%s: coordinated SM violations %.3f not below uncoordinated %.3f",
-				cfg.Model, cfg.Mix, stacks["Coordinated"], stacks["Uncoordinated"])
+	t.Fatalf("no run labelled %s", key)
+	return metrics.Result{}
+}
+
+// The shape tests read results by label, so every sweep's runs must carry
+// non-empty labels that are unique within the sweep: a duplicate would
+// silently hide a row.
+func TestSweepLabels(t *testing.T) {
+	for _, e := range []tableSweep{fig7Sweep, fig8Sweep, fig9Sweep, fig10Sweep, pstatesSweep,
+		machineOffSweep, migrationSweep, timeConstSweep, policiesSweep, multiSeedSweep, extensionsSweep} {
+		if Describe(e.name) == "" {
+			t.Errorf("sweep %q is not a registered experiment", e.name)
+		}
+		seen := map[string]bool{}
+		for _, r := range e.runs(Options{}.normalized()) {
+			if len(r.labels) == 0 || slices.Contains(r.labels, "") {
+				t.Errorf("%s: run %q has an empty label", e.name, r.labels)
+			}
+			if seen[r.key()] {
+				t.Errorf("%s: two runs are labelled %s", e.name, r.key())
+			}
+			seen[r.key()] = true
+		}
+	}
+}
+
+// E1 — Fig. 7: coordination must cut SM-level violations in every config.
+func TestFig7Shape(t *testing.T) {
+	s := sweepData(t, fig7Sweep, fastOpts())
+	if len(s.runs) != 8 {
+		t.Fatalf("%d runs, want 8", len(s.runs))
+	}
+	for _, model := range []string{"BladeA", "ServerB"} {
+		for _, mix := range []tracegen.Mix{tracegen.Mix180, tracegen.Mix60HH} {
+			cfg := model + "/" + string(mix)
+			coord, uncoord := s.get(t, cfg, "Coordinated").ViolSM, s.get(t, cfg, "Uncoordinated").ViolSM
+			if coord >= uncoord {
+				t.Errorf("%s: coordinated SM violations %.3f not below uncoordinated %.3f", cfg, coord, uncoord)
+			}
 		}
 	}
 }
@@ -213,68 +259,44 @@ func TestFig7Shape(t *testing.T) {
 // E2 — Fig. 8: the VMC dominates at low utilization, local control at high;
 // savings fall as utilization rises.
 func TestFig8Shape(t *testing.T) {
-	rows, err := Fig8Data(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(model string, mix tracegen.Mix) Fig8Row {
-		for _, r := range rows {
-			if r.Model == model && r.Mix == mix {
-				return r
-			}
-		}
-		t.Fatalf("row %s/%s missing", model, mix)
-		return Fig8Row{}
+	s := sweepData(t, fig8Sweep, fastOpts())
+	save := func(model string, mix tracegen.Mix, stack string) float64 {
+		return s.get(t, model, string(mix), stack).PowerSavings
 	}
 	for _, model := range []string{"BladeA", "ServerB"} {
-		low := get(model, tracegen.Mix180)
-		if low.VMCOnly <= low.NoVMC {
-			t.Errorf("%s/180: VMCOnly %.2f should beat NoVMC %.2f", model, low.VMCOnly, low.NoVMC)
+		if vmc, local := save(model, tracegen.Mix180, "VMCOnly"), save(model, tracegen.Mix180, "NoVMC"); vmc <= local {
+			t.Errorf("%s/180: VMCOnly %.2f should beat NoVMC %.2f", model, vmc, local)
 		}
-		hhh := get(model, tracegen.Mix60HHH)
-		if hhh.NoVMC <= hhh.VMCOnly {
-			t.Errorf("%s/60HHH: local control %.2f should beat consolidation %.2f",
-				model, hhh.NoVMC, hhh.VMCOnly)
+		if local, vmc := save(model, tracegen.Mix60HHH, "NoVMC"), save(model, tracegen.Mix60HHH, "VMCOnly"); local <= vmc {
+			t.Errorf("%s/60HHH: local control %.2f should beat consolidation %.2f", model, local, vmc)
 		}
-		if get(model, tracegen.Mix60L).Coordinated <= get(model, tracegen.Mix60HHH).Coordinated {
+		if save(model, tracegen.Mix60L, "Coordinated") <= save(model, tracegen.Mix60HHH, "Coordinated") {
 			t.Errorf("%s: savings should fall from 60L to 60HHH", model)
 		}
 	}
 	// ServerB's narrow DVFS range: NoVMC savings must be small (paper ~4 %).
-	if s := get("ServerB", tracegen.Mix180).NoVMC; s > 0.15 {
-		t.Errorf("ServerB NoVMC savings %.2f too large for its narrow power range", s)
+	if v := save("ServerB", tracegen.Mix180, "NoVMC"); v > 0.15 {
+		t.Errorf("ServerB NoVMC savings %.2f too large for its narrow power range", v)
 	}
 }
 
 // E3 — Fig. 9: each disabled interface costs something measurable.
 func TestFig9Shape(t *testing.T) {
-	rows, err := Fig9Data(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(model, variant string) Fig9Row {
-		for _, r := range rows {
-			if r.Model == model && r.Variant == variant {
-				return r
-			}
-		}
-		t.Fatalf("row %s/%s missing", model, variant)
-		return Fig9Row{}
-	}
+	s := sweepData(t, fig9Sweep, fastOpts())
 	for _, model := range []string{"BladeA", "ServerB"} {
-		coord := get(model, "Coordinated")
+		coord := s.get(t, model, "Coordinated")
 		// Apparent utilization forfeits savings.
-		if a := get(model, "Coordinated, appr util"); a.Result.PowerSavings >= coord.Result.PowerSavings {
+		if a := s.get(t, model, "Coordinated, appr util"); a.PowerSavings >= coord.PowerSavings {
 			t.Errorf("%s: apparent-util savings %.2f not below coordinated %.2f",
-				model, a.Result.PowerSavings, coord.Result.PowerSavings)
+				model, a.PowerSavings, coord.PowerSavings)
 		}
 		// Unconstrained packing costs performance.
-		if n := get(model, "Coordinated, no budget limits"); n.Result.PerfLoss <= coord.Result.PerfLoss {
+		if n := s.get(t, model, "Coordinated, no budget limits"); n.PerfLoss <= coord.PerfLoss {
 			t.Errorf("%s: unconstrained packing perf loss %.3f not above coordinated %.3f",
-				model, n.Result.PerfLoss, coord.Result.PerfLoss)
+				model, n.PerfLoss, coord.PerfLoss)
 		}
 		// The plain uncoordinated stack violates more.
-		if u := get(model, "Uncoordinated"); u.Result.ViolSM <= coord.Result.ViolSM {
+		if u := s.get(t, model, "Uncoordinated"); u.ViolSM <= coord.ViolSM {
 			t.Errorf("%s: uncoordinated violations not above coordinated", model)
 		}
 	}
@@ -283,29 +305,19 @@ func TestFig9Shape(t *testing.T) {
 // E4 — Fig. 10: tighter budgets shrink coordinated savings gracefully while
 // uncoordinated violations grow.
 func TestFig10Shape(t *testing.T) {
-	rows, err := Fig10Data(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	type key struct {
-		model, stack, budget string
-	}
-	data := map[key]Fig10Row{}
-	for _, r := range rows {
-		data[key{r.Model, r.Stack, r.Budgets.Label()}] = r
-	}
+	s := sweepData(t, fig10Sweep, fastOpts())
 	for _, model := range []string{"BladeA", "ServerB"} {
-		loose := data[key{model, "Coordinated", "20-15-10"}]
-		tight := data[key{model, "Coordinated", "30-25-20"}]
-		if tight.Result.PowerSavings >= loose.Result.PowerSavings {
+		loose := s.get(t, model, "20-15-10", "Coordinated")
+		tight := s.get(t, model, "30-25-20", "Coordinated")
+		if tight.PowerSavings >= loose.PowerSavings {
 			t.Errorf("%s: coordinated savings should fall with tighter budgets (%.2f -> %.2f)",
-				model, loose.Result.PowerSavings, tight.Result.PowerSavings)
+				model, loose.PowerSavings, tight.PowerSavings)
 		}
-		uLoose := data[key{model, "Uncoordinated", "20-15-10"}]
-		uTight := data[key{model, "Uncoordinated", "30-25-20"}]
-		if uTight.Result.ViolSM <= uLoose.Result.ViolSM {
+		uLoose := s.get(t, model, "20-15-10", "Uncoordinated")
+		uTight := s.get(t, model, "30-25-20", "Uncoordinated")
+		if uTight.ViolSM <= uLoose.ViolSM {
 			t.Errorf("%s: uncoordinated violations should grow with tighter budgets (%.3f -> %.3f)",
-				model, uLoose.Result.ViolSM, uTight.Result.ViolSM)
+				model, uLoose.ViolSM, uTight.ViolSM)
 		}
 	}
 }
@@ -313,17 +325,10 @@ func TestFig10Shape(t *testing.T) {
 // E5 — §5.3: two extreme P-states get close to the full ladder under
 // coordination (within a handful of points of savings).
 func TestPStatesShape(t *testing.T) {
-	rows, err := PStatesData(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	saving := map[string]float64{}
-	for _, r := range rows {
-		saving[r.Model+"/"+r.Ladder+"/"+r.Stack] = r.Result.PowerSavings
-	}
+	s := sweepData(t, pstatesSweep, fastOpts())
 	for _, model := range []string{"BladeA", "ServerB"} {
-		all := saving[model+"/all/Coordinated"]
-		two := saving[model+"/two/Coordinated"]
+		all := s.get(t, model, "all", "Coordinated").PowerSavings
+		two := s.get(t, model, "two", "Coordinated").PowerSavings
 		if diff := all - two; diff > 0.10 || diff < -0.10 {
 			t.Errorf("%s: two-state coordinated savings %.2f too far from full ladder %.2f",
 				model, two, all)
@@ -333,23 +338,15 @@ func TestPStatesShape(t *testing.T) {
 
 // E6 — §5.4: forbidding machine-off collapses the savings.
 func TestMachineOffShape(t *testing.T) {
-	rows, err := MachineOffData(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	saving := map[string]map[bool]float64{}
-	for _, r := range rows {
-		if saving[r.Model] == nil {
-			saving[r.Model] = map[bool]float64{}
+	s := sweepData(t, machineOffSweep, fastOpts())
+	for _, model := range []string{"BladeA", "ServerB"} {
+		allowed := s.get(t, model, "allowed").PowerSavings
+		forbidden := s.get(t, model, "forbidden").PowerSavings
+		if forbidden >= allowed {
+			t.Errorf("%s: forbidden-off savings %.2f not below allowed %.2f", model, forbidden, allowed)
 		}
-		saving[r.Model][r.AllowOff] = r.Result.PowerSavings
-	}
-	for model, s := range saving {
-		if s[false] >= s[true] {
-			t.Errorf("%s: forbidden-off savings %.2f not below allowed %.2f", model, s[false], s[true])
-		}
-		if s[false] > 0.35 {
-			t.Errorf("%s: forbidden-off savings %.2f suspiciously high", model, s[false])
+		if forbidden > 0.35 {
+			t.Errorf("%s: forbidden-off savings %.2f suspiciously high", model, forbidden)
 		}
 	}
 }
@@ -357,43 +354,33 @@ func TestMachineOffShape(t *testing.T) {
 // E7 — §5.4: higher migration overhead raises perf loss but the coordinated
 // stack stays under ~10 %.
 func TestMigrationShape(t *testing.T) {
-	rows, err := MigrationData(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sweepData(t, migrationSweep, fastOpts())
 	prev := map[string]float64{}
-	for _, r := range rows {
-		if p, ok := prev[r.Model]; ok && r.Result.PerfLoss < p-0.02 {
-			t.Errorf("%s: perf loss fell sharply with higher overhead (%.3f -> %.3f)",
-				r.Model, p, r.Result.PerfLoss)
+	for i, r := range s.runs {
+		model, loss := r.labels[0], s.res[i].PerfLoss
+		if p, ok := prev[model]; ok && loss < p-0.02 {
+			t.Errorf("%s: perf loss fell sharply with higher overhead (%.3f -> %.3f)", model, p, loss)
 		}
-		prev[r.Model] = r.Result.PerfLoss
-		if r.Result.PerfLoss > 0.15 {
-			t.Errorf("%s alphaM=%.1f: perf loss %.3f too high for the coordinated stack",
-				r.Model, r.AlphaM, r.Result.PerfLoss)
+		prev[model] = loss
+		if loss > 0.15 {
+			t.Errorf("%s overhead %s%%: perf loss %.3f too high for the coordinated stack",
+				model, r.labels[1], loss)
 		}
 	}
 }
 
 // E8 — §5.4: EC/SM/GM periods barely matter (relative invariance).
 func TestTimeConstantsShape(t *testing.T) {
-	rows, err := TimeConstantsData(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sweepData(t, timeConstSweep, fastOpts())
 	spread := map[string][2]float64{}
-	for _, r := range rows {
-		s, ok := spread[r.Controller]
+	for i, r := range s.runs {
+		ctrl, save := r.labels[0], s.res[i].PowerSavings
+		sp, ok := spread[ctrl]
 		if !ok {
-			s = [2]float64{r.Result.PowerSavings, r.Result.PowerSavings}
+			sp = [2]float64{save, save}
 		}
-		if r.Result.PowerSavings < s[0] {
-			s[0] = r.Result.PowerSavings
-		}
-		if r.Result.PowerSavings > s[1] {
-			s[1] = r.Result.PowerSavings
-		}
-		spread[r.Controller] = s
+		sp[0], sp[1] = min(sp[0], save), max(sp[1], save)
+		spread[ctrl] = sp
 	}
 	for _, ctrl := range []string{"EC", "SM", "GM"} {
 		if d := spread[ctrl][1] - spread[ctrl][0]; d > 0.05 {
@@ -404,24 +391,17 @@ func TestTimeConstantsShape(t *testing.T) {
 
 // E9 — §5.4: no policy changes the picture dramatically.
 func TestPoliciesShape(t *testing.T) {
-	rows, err := PoliciesData(ctx, fastOpts())
-	if err != nil {
-		t.Fatal(err)
+	s := sweepData(t, policiesSweep, fastOpts())
+	lo, hi := map[string]float64{}, map[string]float64{}
+	for i, r := range s.runs {
+		model, save := r.labels[0], s.res[i].PowerSavings
+		if _, ok := lo[model]; !ok {
+			lo[model], hi[model] = save, save
+		}
+		lo[model], hi[model] = min(lo[model], save), max(hi[model], save)
 	}
-	min, max := map[string]float64{}, map[string]float64{}
-	for _, r := range rows {
-		if _, ok := min[r.Model]; !ok {
-			min[r.Model], max[r.Model] = r.Result.PowerSavings, r.Result.PowerSavings
-		}
-		if r.Result.PowerSavings < min[r.Model] {
-			min[r.Model] = r.Result.PowerSavings
-		}
-		if r.Result.PowerSavings > max[r.Model] {
-			max[r.Model] = r.Result.PowerSavings
-		}
-	}
-	for model := range min {
-		if d := max[model] - min[model]; d > 0.15 {
+	for model := range lo {
+		if d := hi[model] - lo[model]; d > 0.15 {
 			t.Errorf("%s: policy choice moved savings by %.3f — should be robust", model, d)
 		}
 	}
@@ -465,27 +445,23 @@ func TestStabilityShape(t *testing.T) {
 // Beyond-paper: the multi-seed aggregation keeps the violation ordering
 // significant across trace draws.
 func TestMultiSeedShape(t *testing.T) {
-	rows, err := MultiSeedData(ctx, Options{Ticks: 1200, Seed: 42, Parallelism: 4}, 3)
+	opts := Options{Ticks: 1200, Seed: 42, Parallelism: 4}
+	runs := multiSeedRuns(opts, 3)
+	res, err := sweep(ctx, "multiseed", opts, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	if len(runs) != 6 {
+		t.Fatalf("%d runs, want 3 seeds x 2 stacks", len(runs))
 	}
-	var coord, uncoord MultiSeedResult
-	for _, r := range rows {
-		if r.Stack == "Coordinated" {
-			coord = r
-		} else {
-			uncoord = r
-		}
-	}
-	if coord.ViolSM.Mean >= uncoord.ViolSM.Mean {
+	coord := seedSample(runs, res, "Coordinated", violSM)
+	uncoord := seedSample(runs, res, "Uncoordinated", violSM)
+	if coord.Mean >= uncoord.Mean {
 		t.Errorf("mean violations: coordinated %.3f not below uncoordinated %.3f",
-			coord.ViolSM.Mean, uncoord.ViolSM.Mean)
+			coord.Mean, uncoord.Mean)
 	}
-	if coord.Savings.N != 3 {
-		t.Errorf("sample size %d, want 3", coord.Savings.N)
+	if n := seedSample(runs, res, "Coordinated", pwrSave).N; n != 3 {
+		t.Errorf("sample size %d, want 3", n)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 func Extensions(ctx context.Context, opts Options) ([]*report.Table, error) {
 	opts = opts.normalized()
 	builders := []func(ctx context.Context) (*report.Table, error){
-		func(ctx context.Context) (*report.Table, error) { return extensionStacks(ctx, opts) },
+		func(ctx context.Context) (*report.Table, error) { return extensionsSweep.table(ctx, opts) },
 		func(ctx context.Context) (*report.Table, error) { return extensionHeterogeneous(ctx, opts) },
 		func(ctx context.Context) (*report.Table, error) { return extensionMIMO() },
 		func(ctx context.Context) (*report.Table, error) { return extensionRack(ctx, opts) },
@@ -71,64 +71,40 @@ func extensionRack(ctx context.Context, opts Options) (*report.Table, error) {
 	return t, nil
 }
 
-// extensionStacks compares the base coordinated stack against the VM-level
-// EC wiring, the energy-delay objective, and the added electrical capper on
-// the standard BladeA/180 scenario.
-func extensionStacks(ctx context.Context, opts Options) (*report.Table, error) {
-	sc := Scenario{Model: "BladeA", Mix: tracegen.Mix180, Budgets: Base201510(),
-		Ticks: opts.Ticks, Seed: opts.Seed}
-	vmLevel := core.Coordinated()
-	vmLevel.VMLevelEC = true
-	energyDelay := core.Coordinated()
-	energyDelay.DelayWeight = 300
-	capped := core.Coordinated()
-	capped.ElectricalCap = 0.95 * model.BladeA().MaxPower()
-	slo := core.Coordinated()
-	slo.EnablePM = true
-
-	t := &report.Table{
+// extensionsSweep is E13's first table: the base coordinated stack against
+// the VM-level EC wiring, the energy-delay objective, the added electrical
+// capper and the performance manager on the standard BladeA/180 scenario.
+var extensionsSweep = tableSweep{
+	name: "extensions",
+	runs: func(opts Options) []sweepRun {
+		vmLevel := core.Coordinated()
+		vmLevel.VMLevelEC = true
+		energyDelay := core.Coordinated()
+		energyDelay.DelayWeight = 300
+		capped := core.Coordinated()
+		capped.ElectricalCap = 0.95 * model.BladeA().MaxPower()
+		slo := core.Coordinated()
+		slo.EnablePM = true
+		return perStack(baseScenario("BladeA", tracegen.Mix180, opts), []stack{
+			{"Coordinated (base)", core.Coordinated()},
+			{"VM-level EC", vmLevel},
+			{"Energy-delay objective", energyDelay},
+			{"Base + electrical CAP", capped},
+			{"Perf-SLO manager (§7)", slo},
+		})
+	},
+	render: perRun(report.Table{
 		Title:  "§6.1 extensions — alternative wirings on BladeA/180 (coordinated base, %)",
 		Note:   "VM-level EC = per-VM loops + sum arbitration (ext. 4); energy-delay = packing objective with a delay term (ext. 6); +CAP = electrical capper (ext. 2); Perf-SLO = §7 performance manager feeding the packing-headroom buffer.",
-		Header: []string{"Variant", "Pwr-save", "Perf-loss", "Viol(SM)", "Viol(GM)"},
-	}
-	type variant struct {
-		name string
-		spec core.Spec
-	}
-	variants := []variant{
-		{"Coordinated (base)", core.Coordinated()},
-		{"VM-level EC", vmLevel},
-		{"Energy-delay objective", energyDelay},
-		{"Base + electrical CAP", capped},
-		{"Perf-SLO manager (§7)", slo},
-	}
-	rows, err := runner.Map(ctx, opts.Parallelism, variants, func(ctx context.Context, v variant) ([]string, error) {
-		baseline, err := cachedBaseline(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunVsBaseline(ctx, sc, v.spec, baseline)
-		if err != nil {
-			return nil, fmt.Errorf("extensions %q: %w", v.name, err)
-		}
-		return []string{v.name, report.Pct(res.PowerSavings), report.Pct(res.PerfLoss),
-			report.Pct(res.ViolSM), report.Pct(res.ViolGM)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t, nil
+		Header: []string{"Variant"},
+	}, pwrSave, perfLoss, violSM, violGM),
 }
 
 // extensionHeterogeneous runs the coordinated stack over a half-BladeA,
 // half-ServerB fleet (§6.1 extension 5): "easily addressed by including a
 // range of different models in the controllers".
 func extensionHeterogeneous(ctx context.Context, opts Options) (*report.Table, error) {
-	sc := Scenario{Model: "BladeA", Mix: tracegen.Mix180, Budgets: Base201510(),
-		Ticks: opts.Ticks, Seed: opts.Seed}
+	sc := baseScenario("BladeA", tracegen.Mix180, opts)
 	// The mixed cluster: blades stay BladeA, standalone become ServerB. The
 	// managed run and its baseline each get one, over the group's one set.
 	mixed := func() (*cluster.Cluster, error) {

@@ -96,17 +96,11 @@ func FacilityData(ctx context.Context, opts Options) ([]FacilityRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("facility baseline: %w", err)
 	}
-	stacks := []struct {
-		name string
-		spec core.Spec
-	}{
+	stacks := []stack{
 		{"Coordinated", facilitySpec(core.Coordinated())},
 		{"Uncoordinated", facilitySpec(core.Uncoordinated())},
 	}
-	return runner.Map(ctx, opts.Parallelism, stacks, func(ctx context.Context, st struct {
-		name string
-		spec core.Spec
-	}) (FacilityRow, error) {
+	return runner.Map(ctx, opts.Parallelism, stacks, func(ctx context.Context, st stack) (FacilityRow, error) {
 		row, err := facilityStackRow(ctx, sc, st.spec, baseline)
 		if err != nil {
 			return FacilityRow{}, fmt.Errorf("%s: %w", st.name, err)

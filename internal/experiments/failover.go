@@ -36,16 +36,12 @@ type FailoverRow struct {
 // exactly the §2.1 leeway thermal budgeting relies on.
 func FailoverData(ctx context.Context, opts Options) ([]FailoverRow, error) {
 	opts = opts.normalized()
-	type pair struct {
-		name string
-		spec core.Spec
-	}
-	stacks := []pair{
+	stacks := []stack{
 		{"Coordinated EC+SM", failoverPair(true)},
 		{"Uncoordinated EC+SM", failoverPair(false)},
 	}
-	return runner.Map(ctx, opts.Parallelism, stacks, func(ctx context.Context, stack pair) (FailoverRow, error) {
-		return runFailover(ctx, stack.name, stack.spec, opts)
+	return runner.Map(ctx, opts.Parallelism, stacks, func(ctx context.Context, s stack) (FailoverRow, error) {
+		return runFailover(ctx, s.name, s.spec, opts)
 	})
 }
 

@@ -32,10 +32,11 @@ func renderAll(t *testing.T, name string, opts Options) string {
 }
 
 // TestParallelDeterminism is the headline guarantee of the runner port:
-// fig7 (multi-table fan-out) and multiseed (per-stack sample reassembly)
-// must render identically whether the jobs run serially or on 8 workers.
+// fig7 (one row per run), fig8 (stacks pivoted into columns) and multiseed
+// (per-stack sample reassembly) must render identically whether the jobs
+// run serially or on 8 workers.
 func TestParallelDeterminism(t *testing.T) {
-	for _, name := range []string{"fig7", "multiseed"} {
+	for _, name := range []string{"fig7", "fig8", "multiseed"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			opts := Options{Ticks: 900, Seed: 42}

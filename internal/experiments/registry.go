@@ -96,18 +96,18 @@ type experiment struct {
 // Names reports and `npexp all` runs them in.
 var registry = []experiment{
 	{"models", Models, "the Fig. 5 power/performance calibrations and base parameters"},
-	{"fig7", Fig7, "coordinated vs uncoordinated: violations + perf loss, 4 configs (Fig. 7)"},
-	{"fig8", Fig8, "isolating controllers: Coordinated / NoVMC / VMCOnly savings (Fig. 8)"},
-	{"fig9", Fig9, "coordination-interface ablations (Fig. 9)"},
-	{"fig10", Fig10, "power-budget sensitivity: 20-15-10 / 25-20-15 / 30-25-20 (Fig. 10)"},
-	{"pstates", PStates, "number of P-states: full ladder vs two extremes (§5.3)"},
-	{"machineoff", MachineOff, "avoiding turning machines off (§5.4)"},
-	{"migration", Migration, "migration-overhead sensitivity: 10/20/50 % (§5.4)"},
-	{"timeconst", TimeConstants, "time-constant sensitivity for EC/SM/GM/VMC (§5.4)"},
-	{"policies", Policies, "EM/GM division-policy choices (§5.4)"},
+	{"fig7", fig7Sweep.run, "coordinated vs uncoordinated: violations + perf loss, 4 configs (Fig. 7)"},
+	{"fig8", fig8Sweep.run, "isolating controllers: Coordinated / NoVMC / VMCOnly savings (Fig. 8)"},
+	{"fig9", fig9Sweep.run, "coordination-interface ablations (Fig. 9)"},
+	{"fig10", fig10Sweep.run, "power-budget sensitivity: 20-15-10 / 25-20-15 / 30-25-20 (Fig. 10)"},
+	{"pstates", pstatesSweep.run, "number of P-states: full ladder vs two extremes (§5.3)"},
+	{"machineoff", machineOffSweep.run, "avoiding turning machines off (§5.4)"},
+	{"migration", migrationSweep.run, "migration-overhead sensitivity: 10/20/50 % (§5.4)"},
+	{"timeconst", timeConstSweep.run, "time-constant sensitivity for EC/SM/GM/VMC (§5.4)"},
+	{"policies", policiesSweep.run, "EM/GM division-policy choices (§5.4)"},
 	{"failover", Failover, "thermal-failover prototype: EC+SM under sustained load (§5.1)"},
 	{"stability", Stability, "Appendix A: EC and SM stability sweeps"},
-	{"multiseed", MultiSeed, "seed robustness of the headline comparison (beyond the paper)"},
+	{"multiseed", multiSeedSweep.run, "seed robustness of the headline comparison (beyond the paper)"},
 	{"extensions", Extensions, "§6.1 extensions: VM-level EC, energy-delay objective, CAP, heterogeneity, MIMO"},
 	{"cooling", Cooling, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
 	{"chaos", Chaos, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},

@@ -1,11 +1,20 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"nopower/internal/checkpoint"
 	"nopower/internal/core"
+	"nopower/internal/metrics"
 	"nopower/internal/sim"
+	"nopower/internal/state"
 	"nopower/internal/tracegen"
 )
 
@@ -166,5 +175,107 @@ func TestReplayExperimentRegistered(t *testing.T) {
 	}
 	if len(tables) != 1 || len(tables[0].Rows) != 2*len(ChaosCases())+1 {
 		t.Errorf("replay tables = %d with %d rows", len(tables), len(tables[0].Rows))
+	}
+}
+
+// encodeOrderEnv hands a child of TestCheckpointBytesAcrossProcesses its
+// encode order ("forward" or "reverse") and output path, as "order:path".
+const encodeOrderEnv = "NOPOWER_TEST_ENCODE_ORDER"
+
+// gob numbers each type in the order a process first encodes it, and every
+// checkpoint carries those numbers. Under -parallel, the job that snapshots
+// first would decide that order, so two processes of one binary must write
+// byte-identical checkpoints of identical runs even when they first encode
+// state types in opposite orders. E16's Snapshot cell depends on it.
+func TestCheckpointBytesAcrossProcesses(t *testing.T) {
+	if v := os.Getenv(encodeOrderEnv); v != "" {
+		order, path, _ := strings.Cut(v, ":")
+		writeOrderedCheckpoints(t, order == "reverse", path)
+		return
+	}
+	dir := t.TempDir()
+	var out [2][]byte
+	for i, order := range []string{"forward", "reverse"} {
+		path := filepath.Join(dir, order)
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointBytesAcrossProcesses$")
+		cmd.Env = append(os.Environ(), encodeOrderEnv+"="+order+":"+path)
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%s child: %v\n%s", order, err, msg)
+		}
+		var err error
+		if out[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Errorf("identical runs wrote different checkpoints (%d and %d bytes) after encoding state types in opposite orders",
+			len(out[0]), len(out[1]))
+	}
+}
+
+// orderProbe is a type no package registers. One child encodes it first and
+// the other last, so a state type its package does not encode at init gets a
+// different number in each child even when it is the only one.
+type orderProbe struct{ N int }
+
+// writeOrderedCheckpoints builds two short runs that between them hold
+// every gob-encoded state type: the coordinated stack with the FM, cooling,
+// the PM, the history policy, a fault schedule and a series, and the
+// VM-level EC stack. It encodes orderProbe, the runs' checkpoints and each
+// component's state in that order, or all of it in reverse, then writes
+// both runs' checkpoints to path.
+func writeOrderedCheckpoints(t *testing.T, reverse bool, path string) {
+	full := facilitySpec(core.Coordinated())
+	full.EnablePM = true
+	full.Policy = "history"
+	vmLevel := core.Coordinated()
+	vmLevel.VMLevelEC = true
+	flap, err := ChaosCaseByName("server-flap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := replayScenario(60).normalized()
+	encoders := []func() ([]byte, error){func() ([]byte, error) { return state.Marshal(orderProbe{}) }}
+	var checkpoints []func() ([]byte, error)
+	for _, spec := range []core.Spec{full, vmLevel} {
+		spec.Periods = shortPeriods()
+		var series metrics.Series
+		eng, _, err := execute(ctx, sc, spec, flap, 0, Observers{Series: &series}, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt := func() ([]byte, error) {
+			snap, err := eng.Snapshot()
+			if err != nil {
+				return nil, err
+			}
+			return checkpoint.Encode(&checkpoint.File{Meta: checkpoint.Meta{Tick: snap.Tick}, State: snap})
+		}
+		checkpoints = append(checkpoints, ckpt)
+		encoders = append(encoders, ckpt, eng.Collector.State, series.State)
+		for _, c := range eng.Controllers {
+			if s, ok := c.(sim.Snapshotter); ok {
+				encoders = append(encoders, s.State)
+			}
+		}
+	}
+	if reverse {
+		slices.Reverse(encoders)
+	}
+	for _, encode := range encoders {
+		if _, err := encode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var all []byte
+	for _, ckpt := range checkpoints {
+		data, err := ckpt()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, data...)
+	}
+	if err := os.WriteFile(path, all, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -90,6 +90,9 @@ type CollectorState struct {
 	ViolSMMass  float64
 }
 
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(CollectorState{}) }
+
 // State implements the simulator's Snapshotter interface (structurally —
 // this package cannot import sim, which imports it).
 func (c *Collector) State() ([]byte, error) {

@@ -57,6 +57,9 @@ type Series struct {
 	facility FacilityEval
 }
 
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(Series{}) }
+
 // FacilityEval computes the facility-side sample for tick k at IT power itW.
 // It must be a pure function of (k, itW) — no internal stream state — so a
 // resumed or sharded run reproduces the exact bits of the uninterrupted one.

@@ -210,6 +210,9 @@ type historyEntry struct {
 	EWMA float64
 }
 
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal([]historyEntry{}) }
+
 // PolicyState implements Stateful.
 func (h *History) PolicyState() ([]byte, error) {
 	entries := make([]historyEntry, 0, len(h.ewma))

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -99,38 +98,4 @@ func (s *SlotStore[R]) Put(key string, r R) error {
 		return fmt.Errorf("runner: slot store: %w", err)
 	}
 	return nil
-}
-
-// MapResumable is Map with durable slots: items whose key is already settled
-// in the store are returned from disk without running fn; fresh results are
-// persisted as they settle. A sweep killed part-way through therefore reruns
-// only the unsettled items on the next invocation.
-//
-// key must be injective over the sweep's items (and stable across restarts);
-// colliding keys silently alias each other's results.
-func MapResumable[T, R any](ctx context.Context, parallelism int, store *SlotStore[R],
-	items []T, key func(T) string, fn func(ctx context.Context, item T) (R, error)) ([]R, error) {
-	results := make([]R, len(items))
-	err := ForEach(ctx, parallelism, len(items), func(ctx context.Context, i int) error {
-		k := key(items[i])
-		if cached, ok, err := store.Get(k); err != nil {
-			return err
-		} else if ok {
-			results[i] = cached
-			return nil
-		}
-		r, err := fn(ctx, items[i])
-		if err != nil {
-			return err
-		}
-		if err := store.Put(k, r); err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }

@@ -1,12 +1,8 @@
 package runner
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 )
 
@@ -66,103 +62,5 @@ func TestSlotStoreRejectsCorruptFile(t *testing.T) {
 	}
 	if _, err := OpenSlotStore[int](path); err == nil {
 		t.Error("corrupt store opened without error")
-	}
-}
-
-func TestMapResumableSkipsSettledSlots(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "slots.json")
-	items := []int{1, 2, 3, 4, 5}
-	key := func(i int) string { return fmt.Sprintf("item-%d", i) }
-	double := func(ctx context.Context, i int) (int, error) { return 2 * i, nil }
-
-	s, err := OpenSlotStore[int](path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int64
-	counted := func(ctx context.Context, i int) (int, error) {
-		calls.Add(1)
-		return double(ctx, i)
-	}
-	got, err := MapResumable(context.Background(), 2, s, items, key, counted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != 2*items[i] {
-			t.Errorf("result[%d] = %d, want %d", i, v, 2*items[i])
-		}
-	}
-	if calls.Load() != 5 {
-		t.Errorf("first sweep ran %d jobs, want 5", calls.Load())
-	}
-
-	// Second sweep over the reopened store: everything comes from disk.
-	s2, err := OpenSlotStore[int](path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls.Store(0)
-	got2, err := MapResumable(context.Background(), 2, s2, items, key, counted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 0 {
-		t.Errorf("resumed sweep ran %d jobs, want 0", calls.Load())
-	}
-	for i := range got {
-		if got2[i] != got[i] {
-			t.Errorf("resumed result[%d] = %d, want %d", i, got2[i], got[i])
-		}
-	}
-}
-
-func TestMapResumableResumesAfterPartialFailure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "slots.json")
-	items := []int{1, 2, 3, 4}
-	key := func(i int) string { return fmt.Sprintf("item-%d", i) }
-	boom := errors.New("transient")
-
-	s, err := OpenSlotStore[int](path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Serial first sweep fails on item 3; items 1 and 2 settle.
-	_, err = MapResumable(context.Background(), 1, s, items, key,
-		func(ctx context.Context, i int) (int, error) {
-			if i == 3 {
-				return 0, boom
-			}
-			return i * i, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("first sweep error = %v, want %v", err, boom)
-	}
-
-	s2, err := OpenSlotStore[int](path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ForEach keeps sweeping past a failed job (errors aggregate), so items
-	// 1, 2, and 4 settled; only the failed item 3 is outstanding.
-	if s2.Len() != 3 {
-		t.Fatalf("settled slots after failure = %d, want 3", s2.Len())
-	}
-	var reran []int
-	got, err := MapResumable(context.Background(), 1, s2, items, key,
-		func(ctx context.Context, i int) (int, error) {
-			reran = append(reran, i)
-			return i * i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reran) != 1 || reran[0] != 3 {
-		t.Errorf("resume reran %v, want only the failed item 3", reran)
-	}
-	for i, item := range items {
-		if got[i] != item*item {
-			t.Errorf("result[%d] = %d, want %d", i, got[i], item*item)
-		}
 	}
 }

@@ -62,6 +62,9 @@ type injectorState struct {
 	Fired []string
 }
 
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(injectorState{}) }
+
 // State implements Snapshotter: the schedule cursor and fired log.
 func (e *EventInjector) State() ([]byte, error) {
 	return state.Marshal(injectorState{Next: e.next, Fired: append([]string(nil), e.fired...)})

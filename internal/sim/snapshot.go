@@ -6,6 +6,7 @@ import (
 	"nopower/internal/cluster"
 	"nopower/internal/metrics"
 	"nopower/internal/obs/prof"
+	"nopower/internal/state"
 )
 
 // Snapshotter is implemented by every component whose mutable state must
@@ -53,6 +54,9 @@ type Snapshot struct {
 	Disabled       []bool
 	FailsafeBroken []bool
 }
+
+// Number the state type for gob now, not at the first snapshot; see package state.
+func init() { _, _ = state.Marshal(Snapshot{}) }
 
 // RegisterAux attaches a named auxiliary Snapshotter to the engine — state
 // that belongs to the run but not to any controller: the policy RNG source,

@@ -5,9 +5,19 @@
 // Snapshotter interface without importing the simulator (or each other).
 //
 // gob is the right codec for the determinism contract of DESIGN.md §10:
-// float64 values round-trip bit-exactly, and for map-free state structs the
-// encoding itself is byte-deterministic, which lets npckpt diff snapshots
-// component by component.
+// float64 values round-trip bit-exactly, and a map-free state struct
+// encodes to the same bytes every time within one binary, which lets npckpt
+// diff snapshots component by component. Only within one binary: gob
+// numbers each type process-wide, in the order the process first encodes
+// it, and every blob carries those numbers. So every package whose state
+// goes through Marshal or into a checkpoint encodes its state types' zero
+// values from an init function, which numbers each type and every type
+// inside it. Package init order is fixed for a binary, so the binary
+// numbers its state types the same way in every process, whichever of a
+// run's concurrent jobs snapshots first. Two different binaries may still
+// number the same type differently. Those init functions drop the encode
+// error: the component's State returns the same error at its first
+// snapshot.
 package state
 
 import (

@@ -8,18 +8,7 @@ COVER_PKG    = ./internal/obs
 COVER_MIN    = 80.0
 COVER_OUT    = coverage.out
 
-# Perf flight recorder (DESIGN.md §13): bench-json records a comparable
-# BENCH_<stamp>.json artifact; verify smoke-compares a default-benchtime
-# run of the scale benchmarks against the newest committed baseline. The
-# threshold is deliberately loose (200%) because the host is noisy and a
-# short run still carries warm-up — the gate catches order-of-magnitude
-# rot, not percent drift; `make bench-json` plus
-# `npprof compare -max-regress 0.05` is the precise workflow.
-BENCH_DIR         ?= bench
-BENCH_MAX_REGRESS ?= 2.0
-BENCH_BASELINE    ?= $(lastword $(sort $(wildcard $(BENCH_DIR)/BENCH_*.json)))
-
-.PHONY: all build test race bench bench-json bench-serve check fmt vet cover soak verify lint
+.PHONY: all build test race bench bench-serve check fmt vet cover soak verify lint
 
 all: check
 
@@ -29,12 +18,16 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the baseline everything-compiles-and-passes gate: clean
-# formatting, vet, a full build, the test suite, and a short smoke of the
-# scale benchmarks piped through the flight recorder and compared
-# against the committed baseline (so neither the sharded scale path nor
-# the bench-json pipeline can rot between full bench runs) — the checks a
-# reviewer assumes are green before reading a line.
+# verify is the baseline everything-compiles-and-passes gate — the checks a
+# reviewer assumes are green before reading a line: clean formatting, vet, a
+# full build, the test suite, the benchmark's own module (`./...` does not
+# reach it), and a 5 s seed-42 npbench run of the sharded 100k-server plant
+# and the serial full stack. That run fails on any wrong output (goldens,
+# sharded-vs-serial reference); compare then fails when a workload's
+# op_ms_p50 exceeds 3x bench/smoke-baseline.json (bound 2.0 in
+# bench/smoke-bounds.json). The bound is loose on purpose: the median moves
+# ~2x between hosts, so the smoke catches order-of-magnitude rot, not
+# percent drift.
 verify: lint
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -43,16 +36,11 @@ verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	@tmp=$$(mktemp); \
-	NPBENCH_PROFILE=1 $(GO) test -run '^$$' -bench 'BenchmarkScale10k|BenchmarkScale100k' . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/npprof record -note "verify smoke" -o $$tmp || exit 1; \
-	if [ -n "$(BENCH_BASELINE)" ]; then \
-		$(GO) run ./cmd/npprof compare -max-regress $(BENCH_MAX_REGRESS) $(BENCH_BASELINE) $$tmp || { rm -f $$tmp; exit 1; }; \
-	else \
-		echo "no baseline in $(BENCH_DIR)/ — skipping compare (run make bench-json)"; \
-	fi; \
-	rm -f $$tmp
+	cd bench/npbench && $(GO) vet ./... && $(GO) test ./...
+	@tmp=$$(mktemp -d); \
+	bash bench/npbench/npbench.sh --workload fleet100k-sharded,facility2500-aiburst --seconds 5 --out $$tmp && \
+	bash bench/npbench/npbench.sh compare -bench bench/smoke-bounds.json bench/smoke-baseline.json $$tmp/all-seed42-trace0.json; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # bench-serve is the E20 daemon load benchmark: 500 jobs over 8 distinct
 # specs per iteration against an in-memory server, reporting p50/p99
@@ -93,19 +81,6 @@ race: verify cover
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
-
-# bench-json records the perf flight recorder: the scale and sweep
-# benchmarks run with the span profiler attached (phase breakdown +
-# imbalance ride along as custom metrics) and the output lands as a
-# schema-versioned artifact under $(BENCH_DIR)/. Compare two stamps with
-# `go run ./cmd/npprof compare old.json new.json`.
-bench-json:
-	@mkdir -p $(BENCH_DIR)
-	@stamp=$$(date -u +%Y%m%dT%H%M%SZ); \
-	NPBENCH_PROFILE=1 $(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkScale10k|BenchmarkScale100k|BenchmarkParallelSweep' . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/npprof record -note "make bench-json" -o $(BENCH_DIR)/BENCH_$$stamp.json
 
 # soak runs the fault-injection acceptance suite under the race detector:
 # every chaos scenario against both stacks with FaultPolicy = degrade, the

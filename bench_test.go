@@ -9,7 +9,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -19,7 +18,6 @@ import (
 	"nopower/internal/core"
 	"nopower/internal/experiments"
 	"nopower/internal/model"
-	"nopower/internal/obs/prof"
 	"nopower/internal/tracegen"
 )
 
@@ -174,50 +172,12 @@ func BenchmarkClusterAdvance(b *testing.B) {
 	}
 }
 
-// benchProfiler returns a fresh span profiler when the run asked for the
-// phase breakdown (NPBENCH_PROFILE=1, set by `make bench-json`), else nil —
-// the default keeps the benchmarks measuring the unobserved engine.
-func benchProfiler() *prof.Profiler {
-	if os.Getenv("NPBENCH_PROFILE") == "" {
-		return nil
-	}
-	return prof.New(1 << 20)
-}
-
-// reportPhases turns the profiled run's span ring into custom benchmark
-// metrics: mean ns per span for the dominant engine phases plus the shard
-// load-imbalance ratio. They ride the `go test -bench` output into the
-// flight-recorder artifact (npprof record), giving every BENCH_*.json a
-// phase breakdown next to its ns/op.
-func reportPhases(b *testing.B, p *prof.Profiler) {
-	if p == nil {
-		return
-	}
-	unit := map[string]string{
-		prof.PhaseAdvance:    "advance-ns/tick",
-		prof.PhaseReduce:     "reduce-ns/tick",
-		prof.PhaseObserve:    "observe-ns/tick",
-		prof.PhaseTick:       "tick-ns/tick",
-		prof.PhaseCheckpoint: "checkpoint-ns/op",
-	}
-	for _, st := range p.PhaseStats() {
-		if u, ok := unit[st.Phase]; ok && st.Count > 0 {
-			b.ReportMetric(float64(st.Total)/float64(st.Count), u)
-		}
-	}
-	if imb := p.ShardImbalance(prof.PhaseShard); imb > 0 {
-		b.ReportMetric(imb, "imbalance")
-	}
-}
-
 // benchScaleFleet runs one full simulated run over a synthetic fleet
 // (coordinated stack minus the VMC, like the scale experiments), serial vs
 // one shard per CPU. The scale experiments verify the runs are bitwise
 // identical; these benchmarks measure what the sharding buys. Trace
 // synthesis and cluster construction happen outside the timer — the tick
-// loop is the subject. With NPBENCH_PROFILE=1 each run is profiled and the
-// phase breakdown is reported as custom metrics (profiling is outside the
-// default path so the headline ns/op stays unobserved).
+// loop is the subject.
 func benchScaleFleet(b *testing.B, servers int) {
 	b.Helper()
 	const ticks = 60
@@ -233,7 +193,6 @@ func benchScaleFleet(b *testing.B, servers int) {
 	}
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p := benchProfiler()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -247,13 +206,11 @@ func benchScaleFleet(b *testing.B, servers int) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng.Prof = p
 				b.StartTimer()
 				if _, err := eng.Run(ticks); err != nil {
 					b.Fatal(err)
 				}
 			}
-			reportPhases(b, p)
 		})
 	}
 }

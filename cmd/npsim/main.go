@@ -10,7 +10,7 @@
 //	npsim -chaos sm-crash -fault-policy degrade
 //	npsim -checkpoint-dir ckpt -checkpoint-every 500       # crash-safe run
 //	npsim -checkpoint-dir ckpt -resume                     # continue it
-//	npsim -shards 8 -timeline run.json                     # phase timeline (Perfetto)
+//	npsim -shards 8 -timeline run.json                     # phase timeline (Perfetto) + phase table
 //	npsim -facility -mix aiburst -series fac.csv           # facility co-simulation + PUE
 //	npsim -profiles arm-microblade:3,serverb:1 -mix hetero # heterogeneous fleet
 //
@@ -26,6 +26,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"nopower/internal/checkpoint"
 	"nopower/internal/controllers/fm"
@@ -60,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ckptDir   = fs.String("checkpoint-dir", "", "write crash-safe snapshots into this directory")
 		ckptEvery = fs.Int("checkpoint-every", 500, "checkpoint interval in ticks (with -checkpoint-dir)")
 		resume    = fs.Bool("resume", false, "resume from the latest checkpoint in -checkpoint-dir; the other flags must match the checkpointed run")
-		timeline  = fs.String("timeline", "", "write a Chrome trace-event timeline of the run's internal phases to this path (open in Perfetto)")
+		timeline  = fs.String("timeline", "", "write a Chrome trace-event timeline of the run's internal phases to this path (open in Perfetto) and log each phase's count, mean and total")
 		tlCap     = fs.Int("timeline-cap", 0, "span ring capacity for -timeline (0 = default; oldest spans are overwritten when full)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -199,14 +200,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "timeline:", err)
 			return 1
 		}
-		top := "none"
-		if stats := profiler.PhaseStats(); len(stats) > 1 {
-			// stats[0] is the enclosing sim.tick; the next entry is the
-			// dominant sub-phase — the headline of "where did the tick go".
-			top = fmt.Sprintf("%s=%s", stats[1].Phase, stats[1].Total)
+		// Imbalance is the mean per-tick max/mean worker time of the
+		// sharded plant advance; 0 means the run never sharded.
+		logger.Info("timeline written", "spans", profiler.Len(), "dropped", profiler.Dropped(),
+			"shard_imbalance", profiler.ShardImbalance(prof.PhaseShard), "path", *timeline)
+		// Where the tick went: every recorded phase, largest total first.
+		for _, st := range profiler.PhaseStats() {
+			logger.Info("phase", "phase", st.Phase, "count", st.Count,
+				"mean", st.Total/time.Duration(st.Count), "total", st.Total)
 		}
-		logger.Info("timeline written", "spans", profiler.Len(),
-			"dropped", profiler.Dropped(), "top", top, "path", *timeline)
 	}
 	if ndjson != nil {
 		if err := ndjson.Err(); err != nil {

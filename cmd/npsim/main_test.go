@@ -18,6 +18,7 @@ import (
 	"nopower/internal/metrics"
 	"nopower/internal/model"
 	"nopower/internal/obs"
+	"nopower/internal/obs/prof"
 	"nopower/internal/sim"
 	"nopower/internal/trace"
 	"nopower/internal/tracegen"
@@ -196,6 +197,34 @@ func TestTraceAndHTTPFlags(t *testing.T) {
 		if !strings.Contains(errOut.String(), frag) {
 			t.Errorf("stderr missing %q:\n%s", frag, errOut.String())
 		}
+	}
+}
+
+// TestTimelineFlag pins -timeline: a sharded run writes a Chrome trace and
+// logs the engine's phase table, one line per phase.
+func TestTimelineFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	code, _, stderr := runCLI("-mix", "60L", "-ticks", "100", "-shards", "2", "-timeline", path)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("timeline holds no traceEvents (err %v): %.200s", err, data)
+	}
+	for _, phase := range []string{prof.PhaseTick, prof.PhaseAdvance} {
+		if !strings.Contains(stderr, "msg=phase phase="+phase+" count=100 mean=") {
+			t.Errorf("no phase line for %s:\n%s", phase, stderr)
+		}
+	}
+	if !strings.Contains(stderr, "shard_imbalance=") {
+		t.Errorf("no shard imbalance logged:\n%s", stderr)
 	}
 }
 

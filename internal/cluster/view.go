@@ -1,12 +1,11 @@
 package cluster
 
-import "nopower/internal/model"
-
-// FleetView is a read-only window onto the per-server columns, for observers
-// that must never mutate the plant: performance monitors, collectors, chaos
-// target selection, report code. It is a value (two words) — pass it around
-// freely. A FleetView exposes no setters and hands out no slices, so holding
-// one cannot alias or corrupt a column (DESIGN.md §12).
+// FleetView is a read-only window onto the per-server columns, for an
+// observer that must never mutate the plant; the performance-SLO manager
+// (internal/controllers/pm) reads served load through it. It is a value (two
+// words) — pass it around freely. A FleetView exposes no setters and hands
+// out no slices, so holding one cannot alias or corrupt a column (DESIGN.md
+// §12).
 type FleetView struct {
 	c *Cluster
 }
@@ -20,32 +19,8 @@ func (v FleetView) NumServers() int { return v.c.NumServers() }
 // On reports whether server i is powered.
 func (v FleetView) On(i int) bool { return v.c.On(i) }
 
-// PState returns server i's current ACPI operating point.
-func (v FleetView) PState(i int) int { return v.c.PState(i) }
-
-// StaticCap returns CAP_LOC, server i's fixed thermal budget.
-func (v FleetView) StaticCap(i int) float64 { return v.c.StaticCap(i) }
-
-// DynCap returns cap_loc, server i's budget after re-provisioning.
-func (v FleetView) DynCap(i int) float64 { return v.c.DynCap(i) }
-
-// Util returns server i's apparent utilization in [0,1].
-func (v FleetView) Util(i int) float64 { return v.c.Util(i) }
-
 // RealUtil returns f_C, server i's served load in full-speed units.
 func (v FleetView) RealUtil(i int) float64 { return v.c.RealUtil(i) }
 
-// Power returns server i's draw in Watts.
-func (v FleetView) Power(i int) float64 { return v.c.Power(i) }
-
 // DemandSum returns f_D, server i's summed VM demand with overhead.
 func (v FleetView) DemandSum(i int) float64 { return v.c.DemandSum(i) }
-
-// ServerModel returns server i's hardware calibration.
-func (v FleetView) ServerModel(i int) *model.Model { return v.c.ServerModel(i) }
-
-// EnclosureOf returns the containing enclosure index, -1 for standalone.
-func (v FleetView) EnclosureOf(i int) int { return v.c.EnclosureOf(i) }
-
-// Capacity returns server i's current compute capacity in full-speed units.
-func (v FleetView) Capacity(i int) float64 { return v.c.Capacity(i) }

@@ -1,7 +1,7 @@
 // Package control provides the control-theoretic primitives the paper's
-// architecture is built on (Fig. 3, Fig. 6, Appendix A): the base feedback
-// loop abstraction, the EC's self-tuning integral law, the SM's
-// power-capping integral law, and the stability bounds on their gains.
+// architecture is built on (Fig. 3, Fig. 6, Appendix A): the EC's
+// self-tuning integral law, the SM's power-capping integral law, and the
+// stability bounds on their gains.
 //
 // The design principle the paper leans on — "connecting the actuation at one
 // layer to the inputs at another layer" — shows up here as plain data flow:
@@ -13,18 +13,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Loop is the paper's base feedback loop (Fig. 3): measure an output, compare
-// to a reference, actuate. Concrete controllers implement Step; outer layers
-// coordinate by changing the reference between steps.
-type Loop interface {
-	// Step consumes the latest measurement and returns the new actuator value.
-	Step(measured float64) float64
-	// Reference returns the loop's current target.
-	Reference() float64
-	// SetReference overloads the loop's target — the coordination channel.
-	SetReference(ref float64)
-}
 
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
@@ -76,12 +64,6 @@ func NewUtilizationLoop(lambda, rRef, fMin, fMax float64) (*UtilizationLoop, err
 func (u *UtilizationLoop) StepEC(r, fC float64) float64 {
 	u.F = Clamp(u.F-u.Lambda*(fC/u.RRef)*(u.RRef-r), u.FMin, u.FMax)
 	return u.F
-}
-
-// Step implements Loop. The measurement is the utilization r; consumption is
-// derived as r*F (its definition), which keeps the one-argument interface.
-func (u *UtilizationLoop) Step(measured float64) float64 {
-	return u.StepEC(measured, measured*u.F)
 }
 
 // MaxRRef bounds the settable utilization target. Values above 1 are legal

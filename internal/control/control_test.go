@@ -327,9 +327,3 @@ func TestFrequencyPlantObserve(t *testing.T) {
 		t.Errorf("Observe(0) = %v, %v", r, fC)
 	}
 }
-
-// Loop interface compliance.
-var (
-	_ Loop = (*UtilizationLoop)(nil)
-	_ Loop = (*CappingLoop)(nil)
-)

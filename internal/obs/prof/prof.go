@@ -1,12 +1,12 @@
 // Package prof is the tick-engine timeline profiler: a low-overhead
 // phase/span recorder the simulation engine, the cluster plant, and the
-// benchmark harness share. A Profiler owns a preallocated ring of Spans —
-// one per timed phase occurrence (a controller epoch, a plant advance, one
-// worker's share of a sharded tick, a checkpoint save) — plus a smaller ring
-// of counter samples (GC cycles, heap allocations per tick). Spans are
-// exportable as Chrome trace-event JSON (chrome.go; loads in Perfetto or
-// chrome://tracing) and aggregate into per-phase statistics for the
-// benchmark flight recorder (bench.go).
+// benchmark (bench/npbench) share. A Profiler owns a preallocated ring of
+// Spans — one per timed phase occurrence (a controller epoch, a plant
+// advance, one worker's share of a sharded tick, a checkpoint save) — plus a
+// smaller ring of counter samples (GC cycles, heap allocations per tick).
+// Spans are exportable as Chrome trace-event JSON (chrome.go; loads in
+// Perfetto or chrome://tracing) and aggregate into per-phase statistics
+// (PhaseStats, ShardImbalance), which npsim -timeline logs.
 //
 // The design constraints, in order:
 //
@@ -29,7 +29,7 @@ import (
 )
 
 // Phase names. The taxonomy is two-level — "area.step" — so Chrome trace
-// categories and the flight recorder's breakdown can group by the prefix.
+// categories can group by the prefix.
 // Controller phases are CtlPrefix + the controller's Name() ("ctl.SM",
 // "ctl.EC", ...), recorded only on the controller's epoch ticks (see
 // sim.Epochal).

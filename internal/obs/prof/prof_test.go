@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,99 +176,3 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatalf("span lanes = %v, want 0,1,2", tids)
 	}
 }
-
-func TestParseGoBench(t *testing.T) {
-	const out = `goos: linux
-goarch: amd64
-BenchmarkScale10k/shards=1-8         	       2	 500000000 ns/op	 1000 B/op	      20 allocs/op
-BenchmarkScale10k/shards=8-8         	       3	 100000000 ns/op	 2000 B/op	      40 allocs/op	     1.250 imbalance
-BenchmarkParallelSweep/parallel=1-8  	       1	2000000000 ns/op
-PASS
-ok  	nopower	12.3s`
-	benches, err := ParseGoBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(benches) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(benches))
-	}
-	b := benches[1]
-	if b.Name != "BenchmarkScale10k/shards=8" {
-		t.Fatalf("name %q: GOMAXPROCS suffix not stripped", b.Name)
-	}
-	if b.Iters != 3 || b.Metrics["ns/op"] != 1e8 || b.Metrics["imbalance"] != 1.25 {
-		t.Fatalf("benchmark = %+v", b)
-	}
-	if _, err := ParseGoBench(strings.NewReader("PASS\nok x 1s\n")); err == nil {
-		t.Fatal("no benchmark lines should be an error")
-	}
-}
-
-func TestArtifactRoundTrip(t *testing.T) {
-	benches := []Benchmark{{Name: "BenchmarkX", Iters: 5, Metrics: map[string]float64{"ns/op": 100}}}
-	a := NewArtifact("test", benches)
-	if a.Schema != BenchSchema || a.Host.CPUs < 1 || a.Host.GoVersion == "" {
-		t.Fatalf("artifact header = %+v", a)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	var buf bytes.Buffer
-	if err := WriteArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFile(path, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadArtifact(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Note != "test" || len(got.Benchmarks) != 1 || got.Benchmarks[0].Metrics["ns/op"] != 100 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	// A wrong-schema file is rejected.
-	a.Schema = BenchSchema + 1
-	buf.Reset()
-	if err := WriteArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFile(path, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadArtifact(path); err == nil {
-		t.Fatal("wrong schema should be rejected")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	mk := func(name string, ns, allocs float64) Benchmark {
-		return Benchmark{Name: name, Iters: 1, Metrics: map[string]float64{"ns/op": ns, "allocs/op": allocs}}
-	}
-	base := NewArtifact("base", []Benchmark{mk("A", 100, 10), mk("B", 100, 10), mk("gone", 1, 1)})
-	head := NewArtifact("head", []Benchmark{mk("A", 105, 10), mk("B", 200, 50), mk("new", 1, 1)})
-	deltas, onlyBase, onlyHead, err := Compare(base, head, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(onlyBase) != 1 || onlyBase[0] != "gone" || len(onlyHead) != 1 || onlyHead[0] != "new" {
-		t.Fatalf("onlyBase=%v onlyHead=%v", onlyBase, onlyHead)
-	}
-	var regressed []string
-	for _, d := range deltas {
-		if d.Regressed {
-			regressed = append(regressed, d.Name+"/"+d.Metric)
-		}
-		// Only the gating metric can regress; allocs are informational.
-		if d.Metric == "allocs/op" && d.Regressed {
-			t.Fatalf("allocs/op marked regressed: %+v", d)
-		}
-	}
-	if len(regressed) != 1 || regressed[0] != "B/ns/op" {
-		t.Fatalf("regressed = %v, want [B/ns/op]", regressed)
-	}
-	// Disjoint artifacts are an error.
-	if _, _, _, err := Compare(base, NewArtifact("x", []Benchmark{mk("zzz", 1, 1)}), 0.1); err == nil {
-		t.Fatal("disjoint artifacts should be an error")
-	}
-}
-
-func writeFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }

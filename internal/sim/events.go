@@ -144,26 +144,6 @@ func RestoreServer(at, server int) Event {
 	}}
 }
 
-// SetGroupBudget returns an event that changes the group-level power budget
-// at runtime (an operator or a higher-level manager re-provisioning, §3.1:
-// budgets "determined by high-level power managers").
-func SetGroupBudget(at int, watts float64) Event {
-	return Event{At: at, Name: fmt.Sprintf("group-budget-%.0fW", watts), Apply: func(cl *cluster.Cluster) {
-		if watts > 0 {
-			cl.StaticCapGrp = watts
-		}
-	}}
-}
-
-// SetServerBudget returns an event that changes one server's static budget.
-func SetServerBudget(at, server int, watts float64) Event {
-	return Event{At: at, Name: fmt.Sprintf("server-%d-budget-%.0fW", server, watts), Apply: func(cl *cluster.Cluster) {
-		if server >= 0 && server < cl.NumServers() && watts > 0 {
-			cl.SetStaticCap(server, watts)
-		}
-	}}
-}
-
 // ScaleDemand returns an event that multiplies every workload's remaining
 // demand by factor — a fleet-wide surge (or trough) such as a flash crowd.
 func ScaleDemand(at int, factor float64) Event {

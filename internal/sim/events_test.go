@@ -74,30 +74,6 @@ func TestRestoreServer(t *testing.T) {
 	}
 }
 
-func TestBudgetEvents(t *testing.T) {
-	cl := testutil.StandaloneCluster(t, 2, 100, 0.2)
-	inj := NewEventInjector(SetGroupBudget(1, 123), SetServerBudget(1, 1, 45))
-	eng := New(cl, inj)
-	if _, err := eng.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	if cl.StaticCapGrp != 123 {
-		t.Errorf("group budget = %v", cl.StaticCapGrp)
-	}
-	if cl.StaticCap(1) != 45 {
-		t.Errorf("server budget = %v", cl.StaticCap(1))
-	}
-	// Invalid values are ignored.
-	inj2 := NewEventInjector(SetGroupBudget(0, -5), SetServerBudget(0, 99, 10))
-	eng2 := New(cl, inj2)
-	if _, err := eng2.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	if cl.StaticCapGrp != 123 {
-		t.Error("negative group budget applied")
-	}
-}
-
 func TestScaleDemand(t *testing.T) {
 	cl := testutil.StandaloneCluster(t, 1, 100, 0.2)
 	inj := NewEventInjector(ScaleDemand(2, 2.0))
@@ -222,8 +198,7 @@ func TestScaleDemandNonPositiveFactorIgnored(t *testing.T) {
 
 func TestEventNamesDescriptive(t *testing.T) {
 	events := []Event{
-		FailServer(1, 2), RestoreServer(2, 2),
-		SetGroupBudget(3, 100), SetServerBudget(4, 1, 50), ScaleDemand(5, 1.5),
+		FailServer(1, 2), RestoreServer(2, 2), ScaleDemand(5, 1.5),
 	}
 	for _, ev := range events {
 		if ev.Name == "" || !strings.ContainsAny(ev.Name, "0123456789") {

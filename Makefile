@@ -48,11 +48,20 @@ verify: lint
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeLoad' -benchtime 5x -count=1 ./internal/serve
 
+# FMA_PKGS must compute the same float64 bits on every GOARCH. Go may fuse
+# x*y + z into one multiply-add with a single rounding on arm64, ppc64le,
+# s390x and riscv64 (never on amd64); an explicit float64(x*y) prevents it.
+# The list grows as more packages are made fusion-free.
+FMA_PKGS  = ./internal/binpack ./internal/controllers/vmc
+FMA_ARCHS = arm64 ppc64le s390x riscv64
+
 # lint enforces the columnar store's API boundary: the per-server struct
 # (cluster.Server) and the struct slice (cl.Servers) were removed in the
 # struct-of-arrays redesign, and nothing outside internal/cluster may grow
 # them back or poke columns directly. The wire-format cluster.ServerState
-# (checkpoints) is explicitly allowed.
+# (checkpoints) is explicitly allowed. It then cross-compiles FMA_PKGS for
+# each of FMA_ARCHS with the assembly listing on and fails, naming file and
+# line, on any fused multiply-add instruction.
 lint:
 	@bad=$$(grep -rn --include='*.go' --exclude-dir=.git -E \
 		'cluster\.Server([^A-Za-z0-9_]|$$)|\bcl\.Servers\b' . \
@@ -61,6 +70,17 @@ lint:
 		echo "removed cluster.Server API referenced outside internal/cluster:"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@for arch in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
+		fused=$$(echo "$$asm" | awk -v arch=$$arch -v root="$(CURDIR)/" \
+			'$$4 ~ /^FN?M(ADD|SUB)[DS]?$$/ { loc = substr($$3, 2, length($$3) - 2); \
+				if (index(loc, root) == 1) loc = substr(loc, length(root) + 1); print arch ": " loc " " $$4 }' \
+			| sort -u); \
+		if [ -n "$$fused" ]; then \
+			echo "fused multiply-add in $(FMA_PKGS); round the product with float64(x*y):"; \
+			echo "$$fused"; exit 1; \
+		fi; \
+	done
 
 # race is the gate for the parallel experiment runner and the sharded tick
 # engine: every experiment test forces the concurrent worker-pool path, and

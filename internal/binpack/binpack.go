@@ -91,28 +91,93 @@ type Result struct {
 	OpenBins int
 }
 
-// state tracks incremental loads during the greedy pass.
-type state struct {
-	load     []float64 // per bin
-	open     []bool
-	encPower map[int]float64
-	grpPower float64
+// slot is one bin's packing state during a Solve: the constants its
+// checks read, with each 1e-12 tolerance folded in, and the bin's load and
+// estimated draw so far.
+type slot struct {
+	capTol    float64 // Capacity + 1e-12
+	full      float64 // FullCapacity, or Capacity when that is <= 0
+	idle      float64
+	slope     float64
+	budgetTol float64 // PowerBudget + 1e-12
+	load      float64
+	cur       float64 // power(load) once open, 0 while closed
+	enc       int     // index into Solve's enclosure budgets; -1 if none
+	open      bool
 }
 
-// Solve runs the greedy placement. It is deterministic.
+// util is the bin's utilization at load, capped at 1.
+func (s *slot) util(load float64) float64 {
+	r := load / s.full
+	if r > 1 {
+		r = 1
+	}
+	return r
+}
+
+// power projects the bin's draw at load (linear P0 model). The conversion
+// rounds the product, so no GOARCH fuses it into a multiply-add.
+func (s *slot) power(load float64) float64 {
+	return s.idle + float64(s.slope*s.util(load))
+}
+
+// Solve runs the greedy placement. It is deterministic. It rejects a
+// problem with no bins, a duplicate bin ID, a bin whose Capacity is not
+// positive, a NaN in any bin field or budget it reads, and a NaN or
+// negative Demand.
 func Solve(p Problem) (*Result, error) {
 	if len(p.Bins) == 0 {
 		return nil, fmt.Errorf("binpack: no bins")
 	}
+	if math.IsNaN(p.GroupBudget) {
+		return nil, fmt.Errorf("binpack: group budget %v", p.GroupBudget)
+	}
 	binIdx := make(map[int]int, len(p.Bins)) // bin ID -> index
+	slots := make([]slot, len(p.Bins))
+	encIdx := map[int]int{} // enclosure ID -> index into encTol, encPower
+	var encTol []float64
+	maxCap := math.Inf(-1) // largest capTol
 	for i, b := range p.Bins {
-		if b.Capacity <= 0 {
+		if !(b.Capacity > 0) {
 			return nil, fmt.Errorf("binpack: bin %d capacity %v", b.ID, b.Capacity)
+		}
+		if math.IsNaN(b.FullCapacity) || math.IsNaN(b.IdlePower) ||
+			math.IsNaN(b.PowerSlope) || math.IsNaN(b.PowerBudget) {
+			return nil, fmt.Errorf("binpack: bin %d has a NaN field", b.ID)
 		}
 		if _, dup := binIdx[b.ID]; dup {
 			return nil, fmt.Errorf("binpack: duplicate bin ID %d", b.ID)
 		}
 		binIdx[b.ID] = i
+		s := slot{capTol: b.Capacity + 1e-12, full: b.FullCapacity, idle: b.IdlePower,
+			slope: b.PowerSlope, budgetTol: b.PowerBudget + 1e-12, enc: -1}
+		if s.full <= 0 {
+			s.full = b.Capacity
+		}
+		if budget, has := p.EnclosureBudgets[b.Enclosure]; has && b.Enclosure >= 0 {
+			if math.IsNaN(budget) {
+				return nil, fmt.Errorf("binpack: enclosure %d budget %v", b.Enclosure, budget)
+			}
+			k, seen := encIdx[b.Enclosure]
+			if !seen {
+				k = len(encTol)
+				encIdx[b.Enclosure] = k
+				encTol = append(encTol, budget+1e-12)
+			}
+			s.enc = k
+		}
+		maxCap = max(maxCap, s.capTol)
+		slots[i] = s
+	}
+	for _, it := range p.Items {
+		if !(it.Demand >= 0) {
+			return nil, fmt.Errorf("binpack: item %d demand %v", it.ID, it.Demand)
+		}
+	}
+	encPower := make([]float64, len(encTol))
+	grpPower, grpTol := 0.0, math.Inf(1) // no sum exceeds +Inf: no group budget
+	if p.GroupBudget > 0 {
+		grpTol = p.GroupBudget + 1e-12
 	}
 
 	order := make([]int, len(p.Items))
@@ -123,26 +188,47 @@ func Solve(p Problem) (*Result, error) {
 		return p.Items[order[a]].Demand > p.Items[order[b]].Demand
 	})
 
-	st := &state{
-		load:     make([]float64, len(p.Bins)),
-		open:     make([]bool, len(p.Bins)),
-		encPower: make(map[int]float64),
-	}
 	res := &Result{Assignment: make([]int, len(p.Items))}
-	for i := range res.Assignment {
-		res.Assignment[i] = -1
-	}
-
 	for _, itemIdx := range order {
 		item := p.Items[itemIdx]
+		d := item.Demand
+		home, ok := binIdx[item.Current] // staying there costs no migration
+		if !ok {
+			home = -1
+		}
 		best, bestCost := -1, math.Inf(1)
-		for bi := range p.Bins {
-			cost, ok := p.marginalCost(st, bi, item)
-			if !ok {
-				continue
-			}
-			if cost < bestCost-1e-12 {
-				best, bestCost = bi, cost
+		// Loads are never negative and rounding is monotone, so every
+		// bin's load+d is at least d: an item larger than every bin's
+		// capacity fails them all, and the scan is skipped.
+		if d <= maxCap {
+			for bi := range slots {
+				s := &slots[bi]
+				newLoad := s.load + d
+				if newLoad > s.capTol {
+					continue
+				}
+				newPower := s.power(newLoad)
+				delta := newPower - s.cur
+				if newPower > s.budgetTol {
+					continue
+				}
+				if s.enc >= 0 && encPower[s.enc]+delta > encTol[s.enc] {
+					continue
+				}
+				if grpPower+delta > grpTol {
+					continue
+				}
+				cost := delta
+				if p.DelayWeight > 0 {
+					un, uo := s.util(newLoad), s.util(s.load)
+					cost += float64(p.DelayWeight * (float64(un*un) - float64(uo*uo)))
+				}
+				if bi != home {
+					cost += p.MigrationWeight
+				}
+				if cost < bestCost-1e-12 {
+					best, bestCost = bi, cost
+				}
 			}
 		}
 		if best < 0 {
@@ -150,103 +236,29 @@ func Solve(p Problem) (*Result, error) {
 			// it has no current host) and account for the load anyway so
 			// later decisions see the truth.
 			res.Unplaced++
-			best = 0
-			if cur, ok := binIdx[item.Current]; ok {
-				best = cur
-			}
+			best = max(home, 0)
 		}
-		p.place(st, best, item)
+		s := &slots[best]
+		s.load += d
+		s.open = true
+		newPower := s.power(s.load)
+		delta := newPower - s.cur
+		s.cur = newPower
+		if s.enc >= 0 {
+			encPower[s.enc] += delta
+		}
+		grpPower += delta
 		res.Assignment[itemIdx] = best
-		if p.Bins[best].ID != item.Current {
+		if best != home {
 			res.Migrations++
 		}
 	}
 
-	for bi, b := range p.Bins {
-		if st.open[bi] {
+	for _, s := range slots {
+		if s.open {
 			res.OpenBins++
-			res.EstimatedPower += estPower(b, st.load[bi])
+			res.EstimatedPower += s.cur
 		}
 	}
 	return res, nil
-}
-
-// estPower projects a bin's draw at a hypothetical load.
-func estPower(b Bin, load float64) float64 {
-	full := b.FullCapacity
-	if full <= 0 {
-		full = b.Capacity
-	}
-	r := load / full
-	if r > 1 {
-		r = 1
-	}
-	return b.IdlePower + b.PowerSlope*r
-}
-
-// marginalCost returns the objective increase of placing item on bin index
-// bi, or ok=false if any constraint would be violated.
-func (p Problem) marginalCost(st *state, bi int, item Item) (float64, bool) {
-	b := p.Bins[bi]
-	newLoad := st.load[bi] + item.Demand
-	if newLoad > b.Capacity+1e-12 {
-		return 0, false
-	}
-	oldPower := 0.0
-	if st.open[bi] {
-		oldPower = estPower(b, st.load[bi])
-	}
-	newPower := estPower(b, newLoad)
-	delta := newPower - oldPower
-
-	if newPower > b.PowerBudget+1e-12 {
-		return 0, false
-	}
-	if budget, has := p.EnclosureBudgets[b.Enclosure]; has && b.Enclosure >= 0 {
-		if st.encPower[b.Enclosure]+delta > budget+1e-12 {
-			return 0, false
-		}
-	}
-	if p.GroupBudget > 0 && st.grpPower+delta > p.GroupBudget+1e-12 {
-		return 0, false
-	}
-
-	cost := delta
-	if p.DelayWeight > 0 {
-		cost += p.DelayWeight * (sq(utilOf(b, newLoad)) - sq(utilOf(b, st.load[bi])))
-	}
-	if b.ID != item.Current {
-		cost += p.MigrationWeight
-	}
-	return cost, true
-}
-
-func utilOf(b Bin, load float64) float64 {
-	full := b.FullCapacity
-	if full <= 0 {
-		full = b.Capacity
-	}
-	r := load / full
-	if r > 1 {
-		r = 1
-	}
-	return r
-}
-
-func sq(v float64) float64 { return v * v }
-
-// place commits an item to a bin and updates the running totals.
-func (p Problem) place(st *state, bi int, item Item) {
-	b := p.Bins[bi]
-	oldPower := 0.0
-	if st.open[bi] {
-		oldPower = estPower(b, st.load[bi])
-	}
-	st.load[bi] += item.Demand
-	st.open[bi] = true
-	delta := estPower(b, st.load[bi]) - oldPower
-	if b.Enclosure >= 0 {
-		st.encPower[b.Enclosure] += delta
-	}
-	st.grpPower += delta
 }

@@ -33,6 +33,20 @@ func solveExhaustive(p Problem) (bestCost float64, found bool) {
 	return bestCost, found
 }
 
+// estPower projects a bin's draw at a hypothetical load: the linear P0
+// model Solve's slots cache as their current estimate.
+func estPower(b Bin, load float64) float64 {
+	full := b.FullCapacity
+	if full <= 0 {
+		full = b.Capacity
+	}
+	r := load / full
+	if r > 1 {
+		r = 1
+	}
+	return b.IdlePower + float64(b.PowerSlope*r)
+}
+
 // evalAssignment computes the objective of a complete assignment, checking
 // all constraints.
 func evalAssignment(p Problem, assign []int) (float64, bool) {

@@ -277,8 +277,10 @@ func (c *Controller) sample(cl *cluster.Cluster) {
 			continue
 		}
 		d := math.Abs(obs - c.mean[vm.ID])
-		c.mean[vm.ID] = alpha*obs + (1-alpha)*c.mean[vm.ID]
-		c.dev[vm.ID] = alpha*d + (1-alpha)*c.dev[vm.ID]
+		// Each float64(x*y) rounds its product, so no GOARCH fuses it into
+		// a multiply-add and the estimate has the same bits everywhere.
+		c.mean[vm.ID] = float64(alpha*obs) + float64((1-alpha)*c.mean[vm.ID])
+		c.dev[vm.ID] = float64(alpha*d) + float64((1-alpha)*c.dev[vm.ID])
 	}
 }
 
@@ -302,7 +304,7 @@ func observedShare(cl *cluster.Cluster, vm *cluster.VM, host int) float64 {
 // (full-speed) when UseRealUtil, raw apparent otherwise, which is exactly
 // the naive consolidator's mistake.
 func (c *Controller) estimate(vmID int) float64 {
-	est := c.mean[vmID] + c.cfg.Headroom*c.dev[vmID]
+	est := c.mean[vmID] + float64(c.cfg.Headroom*c.dev[vmID])
 	if est < 0.01 {
 		est = 0.01
 	}

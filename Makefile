@@ -52,7 +52,7 @@ bench-serve:
 # x*y + z into one multiply-add with a single rounding on arm64, ppc64le,
 # s390x and riscv64 (never on amd64); an explicit float64(x*y) prevents it.
 # The list grows as more packages are made fusion-free.
-FMA_PKGS  = ./internal/binpack ./internal/controllers/vmc
+FMA_PKGS  = ./internal/binpack ./internal/controllers/vmc ./internal/tracegen
 FMA_ARCHS = arm64 ppc64le s390x riscv64
 
 # lint enforces the columnar store's API boundary: the per-server struct
@@ -91,11 +91,15 @@ lint:
 # that interleave them, and the packages whose code runs on shard workers
 # (the plant and the two ShardTicker controllers) rerun uncached. The shared
 # trace set test repeats ten times for the same reason: two engines read one
-# run group's set while one rescales its demand. verify and the obs coverage
-# floor ride along so one target stays the pre-merge gate.
+# run group's set while one rescales its demand. The concurrent BuildMix
+# test repeats ten times too: a blended mix's tier goroutines each write a
+# disjoint arena and index range of one trace slice, and several builds run
+# at once. verify and the obs coverage floor ride along so one target stays
+# the pre-merge gate.
 race: verify cover
 	$(GO) test -race -count=10 -run 'TestShardDeterminism' ./internal/sim
 	$(GO) test -race -count=10 -run 'TestSharedSetConcurrentRuns' ./internal/experiments
+	$(GO) test -race -count=10 -run 'TestBuildMixConcurrent' ./internal/tracegen
 	$(GO) test -race -count=1 ./internal/cluster ./internal/controllers/ec ./internal/controllers/vmec
 	$(GO) test -race ./...
 

@@ -45,18 +45,20 @@ type UtilizationLoop struct {
 	F float64
 }
 
-// NewUtilizationLoop builds an EC loop starting at full frequency.
-func NewUtilizationLoop(lambda, rRef, fMin, fMax float64) (*UtilizationLoop, error) {
+// NewUtilizationLoop builds an EC loop starting at full frequency. It
+// returns a value, so a controller can keep one loop per server in a flat
+// slice without a heap object each.
+func NewUtilizationLoop(lambda, rRef, fMin, fMax float64) (UtilizationLoop, error) {
 	if lambda <= 0 {
-		return nil, fmt.Errorf("control: lambda %v must be positive", lambda)
+		return UtilizationLoop{}, fmt.Errorf("control: lambda %v must be positive", lambda)
 	}
 	if rRef <= 0 || rRef >= 1 {
-		return nil, fmt.Errorf("control: r_ref %v must be in (0,1)", rRef)
+		return UtilizationLoop{}, fmt.Errorf("control: r_ref %v must be in (0,1)", rRef)
 	}
 	if fMin <= 0 || fMax <= fMin {
-		return nil, fmt.Errorf("control: bad frequency range [%v, %v]", fMin, fMax)
+		return UtilizationLoop{}, fmt.Errorf("control: bad frequency range [%v, %v]", fMin, fMax)
 	}
-	return &UtilizationLoop{Lambda: lambda, RRef: rRef, FMin: fMin, FMax: fMax, F: fMax}, nil
+	return UtilizationLoop{Lambda: lambda, RRef: rRef, FMin: fMin, FMax: fMax, F: fMax}, nil
 }
 
 // StepEC advances the loop given the measured utilization r and consumption
@@ -112,18 +114,19 @@ type CappingLoop struct {
 	RRef float64
 }
 
-// NewCappingLoop builds an SM loop. rRef starts at the floor.
-func NewCappingLoop(beta, cap, rRefMin, rRefMax float64) (*CappingLoop, error) {
+// NewCappingLoop builds an SM loop, by value like NewUtilizationLoop.
+// rRef starts at the floor.
+func NewCappingLoop(beta, cap, rRefMin, rRefMax float64) (CappingLoop, error) {
 	if beta <= 0 {
-		return nil, fmt.Errorf("control: beta %v must be positive", beta)
+		return CappingLoop{}, fmt.Errorf("control: beta %v must be positive", beta)
 	}
 	if cap <= 0 {
-		return nil, fmt.Errorf("control: cap %v must be positive", cap)
+		return CappingLoop{}, fmt.Errorf("control: cap %v must be positive", cap)
 	}
 	if rRefMin <= 0 || rRefMax <= rRefMin || rRefMax > MaxRRef {
-		return nil, fmt.Errorf("control: bad r_ref range [%v, %v]", rRefMin, rRefMax)
+		return CappingLoop{}, fmt.Errorf("control: bad r_ref range [%v, %v]", rRefMin, rRefMax)
 	}
-	return &CappingLoop{Beta: beta, Cap: cap, RRefMin: rRefMin, RRefMax: rRefMax, RRef: rRefMin}, nil
+	return CappingLoop{Beta: beta, Cap: cap, RRefMin: rRefMin, RRefMax: rRefMax, RRef: rRefMin}, nil
 }
 
 // Step consumes the measured power and returns the new r_ref.

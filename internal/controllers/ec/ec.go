@@ -61,16 +61,18 @@ func New(cl *cluster.Cluster, lambda, rRef float64, period int) (*Controller, er
 	if period <= 0 {
 		return nil, fmt.Errorf("ec: period %d", period)
 	}
-	c := &Controller{Period: period, Lambda: lambda, rRef0: rRef, steps: make([]int64, cl.NumServers())}
-	for i, n := 0, cl.NumServers(); i < n; i++ {
+	n := cl.NumServers()
+	c := &Controller{Period: period, Lambda: lambda, rRef0: rRef, steps: make([]int64, n),
+		loops: make([]control.UtilizationLoop, n), wasOn: make([]bool, n)}
+	for i := range c.loops {
 		m := cl.ServerModel(i)
 		fMin := m.MinFreq() / m.MaxFreq()
 		loop, err := control.NewUtilizationLoop(lambda, rRef, fMin, 1.0)
 		if err != nil {
 			return nil, fmt.Errorf("ec: server %d: %w", i, err)
 		}
-		c.loops = append(c.loops, *loop)
-		c.wasOn = append(c.wasOn, true)
+		c.loops[i] = loop
+		c.wasOn[i] = true
 	}
 	return c, nil
 }

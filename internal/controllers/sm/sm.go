@@ -77,8 +77,8 @@ func New(cl *cluster.Cluster, ecIface RRefSetter, mode Mode, beta float64, perio
 	if mode == Coordinated && ecIface == nil {
 		return nil, fmt.Errorf("sm: coordinated mode needs the EC interface")
 	}
-	c := &Controller{Period: period, Mode: mode, ec: ecIface}
-	for i, n := 0, cl.NumServers(); i < n; i++ {
+	c := &Controller{Period: period, Mode: mode, ec: ecIface, loops: make([]control.CappingLoop, cl.NumServers())}
+	for i := range c.loops {
 		b := beta
 		if b <= 0 {
 			// Normalize the Appendix-A bound by the model's power/r_ref
@@ -93,7 +93,7 @@ func New(cl *cluster.Cluster, ecIface RRefSetter, mode Mode, beta float64, perio
 		// protection asymmetry): bounds the violation duty cycle under
 		// sustained overload.
 		loop.DownScale = 0.25
-		c.loops = append(c.loops, *loop)
+		c.loops[i] = loop
 	}
 	return c, nil
 }

@@ -57,7 +57,7 @@ func New(cl *cluster.Cluster, lambda, rRef float64, period int) (*Controller, er
 		if err != nil {
 			return nil, fmt.Errorf("vmec: vm %d: %w", cl.VMs[i].ID, err)
 		}
-		c.loops = append(c.loops, loop)
+		c.loops = append(c.loops, &loop)
 	}
 	return c, nil
 }

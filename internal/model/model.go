@@ -137,10 +137,18 @@ func (m *Model) freeze() {
 // PStates were then mutated is a bug: the old code silently fell back to
 // re-deriving from PStates in some accessors but served stale tables in
 // others, so the same model answered inconsistently. Panic instead.
+//
+// Only the length check stays here, so tab inlines into every hot-path
+// accessor; the rare branch is outlined into retab.
 func (m *Model) tab() {
-	if len(m.freqs) == len(m.PStates) {
-		return
+	if len(m.freqs) != len(m.PStates) {
+		m.retab()
 	}
+}
+
+// retab freezes a never-validated model's tables, or panics if a validated
+// model's PStates changed since.
+func (m *Model) retab() {
 	if m.frozen {
 		panic(fmt.Sprintf("model %s: PStates mutated after Validate (%d states, tables frozen at %d); call Validate again",
 			m.Name, len(m.PStates), len(m.freqs)))

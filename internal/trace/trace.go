@@ -85,29 +85,6 @@ func (t *Trace) Scale(s float64) *Trace {
 	return t
 }
 
-// Stack sums several traces sample-by-sample into a new trace — the
-// construction the paper used to build its high-utilization synthetic mixes
-// (60HH stacks two real traces, 60HHH three; §4.3). The result has the
-// length of the longest input; shorter inputs wrap cyclically.
-func Stack(name string, traces ...*Trace) *Trace {
-	if len(traces) == 0 {
-		return &Trace{Name: name}
-	}
-	n := 0
-	for _, t := range traces {
-		if t.Len() > n {
-			n = t.Len()
-		}
-	}
-	out := &Trace{Name: name, Class: "stacked", Demand: make([]float64, n)}
-	for _, t := range traces {
-		for k := 0; k < n; k++ {
-			out.Demand[k] += t.At(k)
-		}
-	}
-	return out
-}
-
 // Stats summarizes a demand series.
 type Stats struct {
 	Mean, Min, Max, StdDev float64

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func mk(name string, demand ...float64) *Trace {
@@ -67,25 +66,6 @@ func TestClipAndScale(t *testing.T) {
 		if tr.Demand[i] != 2*w {
 			t.Errorf("Scale[%d] = %v, want %v", i, tr.Demand[i], 2*w)
 		}
-	}
-}
-
-func TestStack(t *testing.T) {
-	a := mk("a", 0.1, 0.2)
-	b := mk("b", 0.3, 0.4, 0.5)
-	s := Stack("ab", a, b)
-	if s.Len() != 3 {
-		t.Fatalf("Stack len = %d", s.Len())
-	}
-	// b wraps? no — a wraps: a.At(2) = 0.1.
-	want := []float64{0.4, 0.6, 0.6}
-	for i, w := range want {
-		if math.Abs(s.Demand[i]-w) > 1e-12 {
-			t.Errorf("Stack[%d] = %v, want %v", i, s.Demand[i], w)
-		}
-	}
-	if Stack("empty").Len() != 0 {
-		t.Error("empty stack should be empty")
 	}
 }
 
@@ -179,24 +159,5 @@ func TestReadCSVErrors(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(data), "x"); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-}
-
-// Property: Stack of k copies of a trace scales its mean by k.
-func TestStackScalesProperty(t *testing.T) {
-	f := func(seedVals []float64) bool {
-		if len(seedVals) == 0 {
-			return true
-		}
-		demand := make([]float64, len(seedVals))
-		for i, v := range seedVals {
-			demand[i] = math.Mod(math.Abs(v), 1.0)
-		}
-		tr := &Trace{Name: "p", Demand: demand}
-		st := Stack("pp", tr, tr, tr)
-		return math.Abs(st.Summarize().Mean-3*tr.Summarize().Mean) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

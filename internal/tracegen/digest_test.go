@@ -1,0 +1,194 @@
+package tracegen
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"nopower/internal/trace"
+)
+
+// digestFile pins BuildMix bit for bit: one "mix ticks seed sha256" line per
+// digestCases entry.
+var digestFile = filepath.Join("testdata", "buildmix_digests.txt")
+
+type digestCase struct {
+	mix   Mix
+	ticks int
+	seed  int64
+}
+
+func (c digestCase) String() string { return fmt.Sprintf("%s %d %d", c.mix, c.ticks, c.seed) }
+
+// digestCases covers every mix family: the canonical mixes, the sized
+// blends (scale1 and hetero1 have empty tiers), and the AI-burst sizes, at
+// lengths below, at and past one synthetic day (TicksPerDay = 1000).
+func digestCases() []digestCase {
+	mixes := []Mix{Mix180, Mix60L, Mix60M, Mix60H, Mix60HH, Mix60HHH, MixAIBurst, MixHetero,
+		ScaleMix(1), ScaleMix(2), ScaleMix(3), ScaleMix(100),
+		HeteroMix(1), HeteroMix(7), HeteroMix(25), AIBurstMix(1), AIBurstMix(5)}
+	var cases []digestCase
+	for _, m := range mixes {
+		for _, ticks := range []int{1, 100, 1000, 2500} {
+			for _, seed := range []int64{42, 7} {
+				cases = append(cases, digestCase{m, ticks, seed})
+			}
+		}
+	}
+	return cases
+}
+
+// mixDigest hashes the set name and, in set order, every trace's name,
+// class, length and the Float64bits of every sample.
+func mixDigest(set *trace.Set) string {
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	str := func(s string) {
+		put(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	str(set.Name)
+	for _, tr := range set.Traces {
+		str(tr.Name)
+		str(tr.Class)
+		put(uint64(len(tr.Demand)))
+		for _, d := range tr.Demand {
+			put(math.Float64bits(d))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func buildDigest(c digestCase) (string, error) {
+	set, err := BuildMix(c.mix, c.ticks, c.seed)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", c, err)
+	}
+	return mixDigest(set), nil
+}
+
+func readDigests(t *testing.T) map[string]string {
+	f, err := os.Open(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 4 {
+			t.Fatalf("%s: malformed line %q", digestFile, sc.Text())
+		}
+		want[strings.Join(fields[:3], " ")] = fields[3]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestBuildMixDigest holds every sample, name and class of every mix family
+// to the digests recorded before synthesis was restructured (arena, day
+// table, concurrent tiers), so a change to how traces are generated cannot
+// change what is generated.
+func TestBuildMixDigest(t *testing.T) {
+	want := readDigests(t)
+	cases := digestCases()
+	if len(want) != len(cases) {
+		t.Errorf("%s has %d digests, want %d", digestFile, len(want), len(cases))
+	}
+	for _, c := range cases {
+		w, ok := want[c.String()]
+		if !ok {
+			t.Errorf("%s: no recorded digest", c)
+			continue
+		}
+		got, err := buildDigest(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != w {
+			t.Errorf("%s: digest %s, recorded %s", c, got, w)
+		}
+	}
+}
+
+// TestBuildMixConcurrent builds the same blended and single-tier mixes from
+// several goroutines at once: each build's tier goroutines write their own
+// arenas, so every build must give the serial digests (and `make race`
+// repeats this under the detector).
+func TestBuildMixConcurrent(t *testing.T) {
+	cases := []digestCase{{Mix180, 300, 42}, {MixHetero, 300, 7}, {ScaleMix(100), 300, 42},
+		{HeteroMix(25), 300, 42}, {Mix60HHH, 300, 7}, {AIBurstMix(5), 300, 7}}
+	want := make([]string, len(cases))
+	for i, c := range cases {
+		d, err := buildDigest(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d
+	}
+	const builders = 4
+	got := make([][]string, builders)
+	var wg sync.WaitGroup
+	for b := range got {
+		got[b] = make([]string, len(cases))
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			for i := range cases {
+				// Each builder walks the cases from its own offset, so
+				// different mixes overlap too.
+				j := (i + b) % len(cases)
+				d, err := buildDigest(cases[j])
+				if err != nil {
+					t.Error(err)
+				}
+				got[b][j] = d
+			}
+		}(b)
+	}
+	wg.Wait()
+	for b := range got {
+		for i, c := range cases {
+			if got[b][i] != want[i] {
+				t.Errorf("builder %d, %s: digest %s, serial %s", b, c, got[b][i], want[i])
+			}
+		}
+	}
+}
+
+// TestTraceDemandIsolated appends to one generated trace and checks the next
+// trace's first sample: traces may share backing storage, but never a
+// writable tail.
+func TestTraceDemandIsolated(t *testing.T) {
+	for _, c := range []digestCase{{Mix60L, 50, 1}, {Mix60HH, 50, 1}, {MixAIBurst, 50, 1},
+		{Mix180, 50, 1}, {HeteroMix(10), 50, 1}} {
+		set, err := BuildMix(c.mix, c.ticks, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < set.Len(); i++ {
+			cur, next := set.Traces[i], set.Traces[i+1]
+			first := math.Float64bits(next.Demand[0])
+			cur.Demand = append(cur.Demand, math.Inf(1))
+			if got := math.Float64bits(next.Demand[0]); got != first {
+				t.Fatalf("%s: appending to %s rewrote %s's first sample (%v)", c, cur.Name, next.Name,
+					math.Float64frombits(got))
+			}
+		}
+	}
+}

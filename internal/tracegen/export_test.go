@@ -1,12 +1,10 @@
 package tracegen
 
-import (
-	"math/rand"
-
-	"nopower/internal/trace"
-)
+import "math/rand"
 
 // oneForTest exposes the single-trace generator to tests with a fixed RNG.
-func oneForTest(cls Class, p Params) *trace.Trace {
-	return one("test", cls, p, rand.New(rand.NewSource(p.Seed)))
+func oneForTest(cls Class, p Params) []float64 {
+	demand := make([]float64, p.Ticks)
+	fill(demand, cls, p.Level, newDayTable(p.Ticks, p.TicksPerDay), rand.New(rand.NewSource(p.Seed)))
+	return demand
 }

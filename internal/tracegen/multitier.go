@@ -65,10 +65,10 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 		NoiseSigma: 0.04, NoisePhi: 0.85,
 		BurstProb: 0.005, BurstAmp: 0.30, BurstLen: 15,
 	}
+	day := newDayTable(p.Ticks, p.TicksPerDay)
+	requests := make([]float64, p.Ticks)
 	for s := 0; s < stacks; s++ {
-		requests := one(fmt.Sprintf("stack%02d-req", s), base, Params{
-			Ticks: p.Ticks, TicksPerDay: p.TicksPerDay, Level: p.Level,
-		}, rng)
+		fill(requests, base, p.Level, day, rng)
 		for _, tier := range tiers {
 			tr := &trace.Trace{
 				Name:   fmt.Sprintf("stack%02d-%s", s, tier.Name),
@@ -78,8 +78,8 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 			ar := 0.0
 			const phi = 0.8
 			for k := 0; k < p.Ticks; k++ {
-				ar = phi*ar + rng.NormFloat64()*tier.LocalNoise*math.Sqrt(1-phi*phi)
-				d := requests.Demand[k]*tier.Gain + ar
+				ar = float64(phi*ar) + float64(rng.NormFloat64()*tier.LocalNoise*math.Sqrt(1-phi*phi))
+				d := float64(requests[k]*tier.Gain) + ar
 				if d < 0 {
 					d = 0
 				}
@@ -115,9 +115,9 @@ func Correlation(a, b *trace.Trace) float64 {
 	var cov, va, vb float64
 	for i := 0; i < n; i++ {
 		da, db := a.Demand[i]-ma, b.Demand[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 0

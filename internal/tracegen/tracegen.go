@@ -19,6 +19,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"sync"
 
 	"nopower/internal/trace"
 )
@@ -109,8 +111,20 @@ func Generate(n int, p Params) (*trace.Set, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("tracegen: n = %d", n)
 	}
+	traces := make([]*trace.Trace, n)
+	if err := generate(traces, 0, p); err != nil {
+		return nil, err
+	}
+	return &trace.Set{Name: fmt.Sprintf("gen-%d", n), Traces: traces}, nil
+}
+
+// generate fills dst with len(dst) traces cycling through the workload
+// classes, naming trace i after its class and index first+i, so a tier of a
+// blended mix is named in place. Every sample of the call sits in one
+// arena (see newTraces).
+func generate(dst []*trace.Trace, first int, p Params) error {
 	if p.Ticks <= 0 {
-		return nil, fmt.Errorf("tracegen: ticks = %d", p.Ticks)
+		return fmt.Errorf("tracegen: ticks = %d", p.Ticks)
 	}
 	if p.TicksPerDay <= 0 {
 		p.TicksPerDay = 1000
@@ -118,51 +132,111 @@ func Generate(n int, p Params) (*trace.Set, error) {
 	if p.Level <= 0 {
 		p.Level = 1.0
 	}
-	stack := p.Stack
-	if stack < 1 {
-		stack = 1
-	}
+	stack := max(p.Stack, 1)
 	rng := rand.New(rand.NewSource(p.Seed))
 	classes := Classes()
-	set := &trace.Set{Name: fmt.Sprintf("gen-%d", n)}
-	for i := 0; i < n; i++ {
+	day := newDayTable(p.Ticks, p.TicksPerDay)
+	traces := newTraces(len(dst), p.Ticks)
+	var part []float64
+	if stack > 1 {
+		part = make([]float64, p.Ticks)
+	}
+	for i := range dst {
 		cls := classes[i%len(classes)]
-		parts := make([]*trace.Trace, stack)
-		for s := 0; s < stack; s++ {
-			parts[s] = one(fmt.Sprintf("%s-%03d", cls.Name, i), cls, p, rng)
-		}
-		tr := parts[0]
-		if stack > 1 {
-			tr = trace.Stack(fmt.Sprintf("%s-%03d", cls.Name, i), parts...)
-			tr.Class = cls.Name
+		tr := &traces[i]
+		tr.Name = traceName(cls.Name, first+i)
+		tr.Class = cls.Name
+		if stack == 1 {
+			fill(tr.Demand, cls, p.Level, day, rng)
+		} else {
+			// The paper's stacking construction (60HH stacks two traces,
+			// 60HHH three; §4.3): each independently drawn part added in
+			// turn to a zeroed sum.
+			for s := 0; s < stack; s++ {
+				fill(part, cls, p.Level, day, rng)
+				for k, d := range part {
+					tr.Demand[k] += d
+				}
+			}
 		}
 		// Demand above ~1.3 of a full server is unrealistic for a single
 		// consolidatable VM; clip so stacked mixes stay servable-ish.
 		tr.Clip(1.3)
-		set.Traces = append(set.Traces, tr)
+		dst[i] = tr
 	}
-	return set, nil
+	return nil
 }
 
-// one synthesizes a single trace: base + diurnal + AR(1) noise + bursts,
-// scaled by Level and clamped to be non-negative.
-func one(name string, cls Class, p Params, rng *rand.Rand) *trace.Trace {
-	tr := &trace.Trace{Name: name, Class: cls.Name, Demand: make([]float64, p.Ticks)}
-	phase := rng.Float64() * 2 * math.Pi
+// traceName formats fmt.Sprintf("%s-%03d", class, i) without the
+// formatter: a fleet-scale mix names one trace per server.
+func traceName(class string, i int) string {
+	var buf [32]byte
+	b := append(buf[:0], class...)
+	b = append(b, '-')
+	for pad := 100; pad > 1 && i < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
+
+// newTraces allocates n traces of the given length whose samples share one
+// backing array (one allocation instead of n). Each Demand's capacity is
+// pinned to its length, so an append reallocates rather than running into
+// the next trace; a retained trace keeps the whole arena alive.
+func newTraces(n, ticks int) []trace.Trace {
+	traces := make([]trace.Trace, n)
+	samples := make([]float64, n*ticks)
+	for i := range traces {
+		traces[i].Demand = samples[i*ticks : (i+1)*ticks : (i+1)*ticks]
+	}
+	return traces
+}
+
+// dayTable tabulates what every trace of a call shares about tick k: the
+// position k%TicksPerDay/TicksPerDay within the synthetic day and the sine
+// angle 2π·position, the latter rounded before a trace adds its phase. It
+// covers min(ticks, TicksPerDay) ticks, all a call can index.
+type dayTable struct {
+	pos, angle []float64
+}
+
+func newDayTable(ticks, perDay int) dayTable {
+	n := min(ticks, perDay)
+	d := dayTable{pos: make([]float64, n), angle: make([]float64, n)}
+	for j := range n {
+		d.pos[j] = float64(j) / float64(perDay)
+		d.angle[j] = float64(2 * math.Pi * d.pos[j])
+	}
+	return d
+}
+
+// fill synthesizes one trace into dst: base + diurnal + AR(1) noise +
+// bursts, scaled by level and clamped to be non-negative.
+func fill(dst []float64, cls Class, level float64, day dayTable, rng *rand.Rand) {
+	// Each conversion rounds, so no GOARCH fuses the source's scaling or
+	// this product into a multiply-add (internal/tracegen is in FMA_PKGS).
+	u := float64(rng.Float64())
+	phase := float64(u * 2 * math.Pi)
+	halfAmp := cls.DiurnalAmp * 0.5
+	// The AR(1) innovation scale that keeps the noise's std-dev at sigma.
+	innov := math.Sqrt(1 - float64(cls.NoisePhi*cls.NoisePhi))
 	ar := 0.0
 	burstLeft := 0
-	for k := 0; k < p.Ticks; k++ {
-		dayPos := float64(k%p.TicksPerDay) / float64(p.TicksPerDay)
+	j := 0 // k % TicksPerDay
+	for k := range dst {
 		var diurnal float64
 		if cls.BusinessHours {
 			// Plateau between ~08:00 and ~18:00 of the synthetic day.
-			if dayPos > 0.33 && dayPos < 0.75 {
+			if pos := day.pos[j]; pos > 0.33 && pos < 0.75 {
 				diurnal = cls.DiurnalAmp
 			}
 		} else {
-			diurnal = cls.DiurnalAmp * 0.5 * (1 + math.Sin(2*math.Pi*dayPos+phase))
+			diurnal = halfAmp * (1 + math.Sin(day.angle[j]+phase))
 		}
-		ar = cls.NoisePhi*ar + rng.NormFloat64()*cls.NoiseSigma*math.Sqrt(1-cls.NoisePhi*cls.NoisePhi)
+		if j++; j == len(day.pos) {
+			j = 0
+		}
+		ar = float64(cls.NoisePhi*ar) + float64(rng.NormFloat64()*cls.NoiseSigma*innov)
 		if burstLeft > 0 {
 			burstLeft--
 		} else if rng.Float64() < cls.BurstProb {
@@ -172,13 +246,12 @@ func one(name string, cls Class, p Params, rng *rand.Rand) *trace.Trace {
 		if burstLeft > 0 {
 			burst = cls.BurstAmp
 		}
-		d := (cls.Base + diurnal + ar + burst) * p.Level
+		d := (cls.Base + diurnal + ar + burst) * level
 		if d < 0 {
 			d = 0
 		}
-		tr.Demand[k] = d
+		dst[k] = d
 	}
-	return tr
 }
 
 // AI-burst generation (WDPC-style): synchronized data-parallel training.
@@ -229,20 +302,24 @@ func GenerateAIBurst(n int, p Params) (*trace.Set, error) {
 			k++
 		}
 	}
-	set := &trace.Set{Name: fmt.Sprintf("aiburst-%d", n)}
-	for i := 0; i < n; i++ {
-		offset := rng.Intn(3)               // the fleet steps within ~3 ticks
-		amp := 1 + 0.06*(rng.Float64()-0.5) // ±3 % group-to-group spread
-		tr := &trace.Trace{Name: fmt.Sprintf("%s-%03d", aiClassName, i), Class: aiClassName,
-			Demand: make([]float64, p.Ticks)}
-		for k := 0; k < p.Ticks; k++ {
+	set := &trace.Set{Name: fmt.Sprintf("aiburst-%d", n), Traces: make([]*trace.Trace, n)}
+	traces := newTraces(n, p.Ticks)
+	for i := range traces {
+		offset := rng.Intn(3) // the fleet steps within ~3 ticks
+		// ±3 % group-to-group spread, rounded step by step as in fill.
+		u := float64(rng.Float64())
+		amp := 1 + float64(0.06*(u-0.5))
+		tr := &traces[i]
+		tr.Name = traceName(aiClassName, i)
+		tr.Class = aiClassName
+		for k := range tr.Demand {
 			src := k - offset
 			if src < 0 {
 				src = 0
 			}
 			tr.Demand[k] = sched[src] * amp * p.Level
 		}
-		set.Traces = append(set.Traces, tr)
+		set.Traces[i] = tr
 	}
 	return set, nil
 }
@@ -325,70 +402,38 @@ func sizedMix(mix Mix, format string) (n int, ok bool) {
 // The 180 mix blends levels like the nine-enterprise corpus (mostly low,
 // some medium); 60L/M/H scale one level; 60HH/HHH stack traces.
 func BuildMix(mix Mix, ticks int, seed int64) (*trace.Set, error) {
+	tierOf := func(n int, seed int64, level float64, stack int) tier {
+		return tier{n, Params{Ticks: ticks, Seed: seed, Level: level, Stack: stack}}
+	}
 	switch mix {
 	case Mix180:
-		lo, err := Generate(120, Params{Ticks: ticks, Seed: seed, Level: 0.55})
-		if err != nil {
-			return nil, err
-		}
-		mid, err := Generate(60, Params{Ticks: ticks, Seed: seed + 1, Level: 0.95})
-		if err != nil {
-			return nil, err
-		}
-		set := &trace.Set{Name: string(mix), Traces: append(lo.Traces, mid.Traces...)}
-		renumber(set)
-		return set, nil
+		return blend(mix, tierOf(120, seed, 0.55, 1), tierOf(60, seed+1, 0.95, 1))
 	case Mix60L:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 0.6})
-		return named(mix, set, err)
+		return blend(mix, tierOf(60, seed, 0.6, 1))
 	case Mix60M:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 1.2})
-		return named(mix, set, err)
+		return blend(mix, tierOf(60, seed, 1.2, 1))
 	case Mix60H:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 1.8})
-		return named(mix, set, err)
+		return blend(mix, tierOf(60, seed, 1.8, 1))
 	case Mix60HH:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 0.85, Stack: 2})
-		return named(mix, set, err)
+		return blend(mix, tierOf(60, seed, 0.85, 2))
 	case Mix60HHH:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 0.85, Stack: 3})
-		return named(mix, set, err)
+		return blend(mix, tierOf(60, seed, 0.85, 3))
 	case MixAIBurst:
-		set, err := GenerateAIBurst(60, Params{Ticks: ticks, Seed: seed})
-		return named(mix, set, err)
-	}
-	if mix == MixHetero {
+		return aiBurst(mix, 60, ticks, seed)
+	case MixHetero:
 		return buildHetero(mix, 60, ticks, seed)
 	}
 	if n, ok := heteroMixSize(mix); ok {
 		return buildHetero(mix, n, ticks, seed)
 	}
 	if n, ok := aiBurstMixSize(mix); ok {
-		set, err := GenerateAIBurst(n, Params{Ticks: ticks, Seed: seed})
-		return named(mix, set, err)
+		return aiBurst(mix, n, ticks, seed)
 	}
 	if n, ok := scaleMixSize(mix); ok {
 		// The Mix180 blend generalized to n workloads: two-thirds low-level,
 		// the rest medium, seeds split the same way.
 		nLo := 2 * n / 3
-		nMid := n - nLo
-		set := &trace.Set{Name: string(mix)}
-		if nLo > 0 {
-			lo, err := Generate(nLo, Params{Ticks: ticks, Seed: seed, Level: 0.55})
-			if err != nil {
-				return nil, err
-			}
-			set.Traces = append(set.Traces, lo.Traces...)
-		}
-		if nMid > 0 {
-			mid, err := Generate(nMid, Params{Ticks: ticks, Seed: seed + 1, Level: 0.95})
-			if err != nil {
-				return nil, err
-			}
-			set.Traces = append(set.Traces, mid.Traces...)
-		}
-		renumber(set)
-		return set, nil
+		return blend(mix, tierOf(nLo, seed, 0.55, 1), tierOf(n-nLo, seed+1, 0.95, 1))
 	}
 	return nil, fmt.Errorf("tracegen: unknown mix %q", mix)
 }
@@ -401,44 +446,58 @@ func BuildMix(mix Mix, ticks int, seed int64) (*trace.Set, error) {
 func buildHetero(mix Mix, n, ticks int, seed int64) (*trace.Set, error) {
 	nLo := n / 2
 	nMid := 3 * n / 10
-	nHi := n - nLo - nMid
-	set := &trace.Set{Name: string(mix)}
-	for _, tier := range []struct {
-		count int
-		p     Params
-	}{
-		{nLo, Params{Ticks: ticks, Seed: seed, Level: 0.55}},
-		{nMid, Params{Ticks: ticks, Seed: seed + 1, Level: 0.95}},
-		{nHi, Params{Ticks: ticks, Seed: seed + 2, Level: 0.85, Stack: 2}},
-	} {
-		if tier.count <= 0 {
-			continue
+	return blend(mix,
+		tier{nLo, Params{Ticks: ticks, Seed: seed, Level: 0.55}},
+		tier{nMid, Params{Ticks: ticks, Seed: seed + 1, Level: 0.95}},
+		tier{n - nLo - nMid, Params{Ticks: ticks, Seed: seed + 2, Level: 0.85, Stack: 2}})
+}
+
+// tier is one independently seeded part of a mix: n traces from Generate's
+// parameters.
+type tier struct {
+	n int
+	p Params
+}
+
+// blend synthesizes a mix's tiers, each on its own goroutine, into one set
+// in tier order; empty tiers are skipped. Each tier draws from its own
+// seeded source into its own arena and names its own index range of the
+// set, so neither the order nor a bit of the result depends on how the
+// goroutines are scheduled.
+func blend(mix Mix, tiers ...tier) (*trace.Set, error) {
+	total := 0
+	for _, t := range tiers {
+		total += t.n
+	}
+	set := &trace.Set{Name: string(mix), Traces: make([]*trace.Trace, total)}
+	errs := make([]error, len(tiers))
+	var wg sync.WaitGroup
+	first := 0
+	for i, t := range tiers {
+		if t.n > 0 {
+			wg.Add(1)
+			go func(first int) {
+				defer wg.Done()
+				errs[i] = generate(set.Traces[first:first+t.n], first, t.p)
+			}(first)
 		}
-		part, err := Generate(tier.count, tier.p)
+		first += t.n
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		set.Traces = append(set.Traces, part.Traces...)
 	}
-	if len(set.Traces) == 0 {
-		return nil, fmt.Errorf("tracegen: hetero mix %q is empty", mix)
-	}
-	renumber(set)
 	return set, nil
 }
 
-func named(mix Mix, set *trace.Set, err error) (*trace.Set, error) {
+// aiBurst generates an n-trace AI-training mix under the mix's name.
+func aiBurst(mix Mix, n, ticks int, seed int64) (*trace.Set, error) {
+	set, err := GenerateAIBurst(n, Params{Ticks: ticks, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	set.Name = string(mix)
-	renumber(set)
 	return set, nil
-}
-
-// renumber gives traces unique sequential names within the set.
-func renumber(set *trace.Set) {
-	for i, tr := range set.Traces {
-		tr.Name = fmt.Sprintf("%s-%03d", tr.Class, i)
-	}
 }

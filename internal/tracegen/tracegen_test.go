@@ -252,9 +252,9 @@ func TestBusinessHoursPlateau(t *testing.T) {
 	cls.BurstProb = 0
 	p := Params{Ticks: 1000, TicksPerDay: 1000, Seed: 5, Level: 1}
 	// The plateau window is (0.33, 0.75) of the synthetic day.
-	tr := oneForTest(cls, p)
-	work := tr.Demand[500]  // inside plateau
-	night := tr.Demand[100] // outside
+	demand := oneForTest(cls, p)
+	work := demand[500]  // inside plateau
+	night := demand[100] // outside
 	if work <= night {
 		t.Errorf("business-hours demand %.3f not above off-hours %.3f", work, night)
 	}

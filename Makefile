@@ -94,12 +94,15 @@ lint:
 # run group's set while one rescales its demand. The concurrent BuildMix
 # test repeats ten times too: a blended mix's tier goroutines each write a
 # disjoint arena and index range of one trace slice, and several builds run
-# at once. verify and the obs coverage floor ride along so one target stays
-# the pre-merge gate.
+# at once. The batch identity test repeats five times: a sweep's pool
+# workers write the shared result slots and baseline cache entries that
+# every row of the batch reads back. verify and the obs coverage floor ride
+# along so one target stays the pre-merge gate.
 race: verify cover
 	$(GO) test -race -count=10 -run 'TestShardDeterminism' ./internal/sim
 	$(GO) test -race -count=10 -run 'TestSharedSetConcurrentRuns' ./internal/experiments
 	$(GO) test -race -count=10 -run 'TestBuildMixConcurrent' ./internal/tracegen
+	$(GO) test -race -count=5 -run 'TestRunExperimentsMatchesEach' ./internal/experiments
 	$(GO) test -race -count=1 ./internal/cluster ./internal/controllers/ec ./internal/controllers/vmec
 	$(GO) test -race ./...
 

@@ -36,18 +36,17 @@ func benchExperiment(b *testing.B, name string) {
 }
 
 // BenchmarkParallelSweep compares the fig7+fig8 batch — the headline
-// configuration sweep, 44 independent simulations — run serially against
-// the worker-pool fan-out at GOMAXPROCS. The output tables are
-// byte-identical either way; only the wall clock should differ.
+// configuration sweep, one RunExperiments call whose 44 rows are 40
+// distinct simulations over 12 baselines — run serially against the
+// worker-pool fan-out at GOMAXPROCS. The output tables are byte-identical
+// either way; only the wall clock should differ.
 func BenchmarkParallelSweep(b *testing.B) {
 	for _, parallel := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			opts := append(benchOpts(), experiments.WithParallelism(parallel))
 			for i := 0; i < b.N; i++ {
-				for _, name := range []string{"fig7", "fig8"} {
-					if _, err := experiments.RunExperiment(context.Background(), name, opts...); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := experiments.RunExperiments(context.Background(), []string{"fig7", "fig8"}, opts...); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

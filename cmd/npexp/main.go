@@ -4,10 +4,13 @@
 // -markdown renders GitHub-flavored tables suitable for EXPERIMENTS.md, and
 // -json emits one machine-readable document.
 //
-// Independent simulation jobs inside each experiment fan out across a
-// worker pool: -parallel bounds the workers (default GOMAXPROCS), -timeout
-// cancels the whole batch, and the tables are byte-identical at any
-// parallelism level.
+// The table experiments among the named ones run as one sweep
+// (experiments.RunExperiments) when the first of them comes up: each
+// distinct run and baseline of the batch once. Independent simulation jobs
+// fan out across a worker pool: -parallel bounds the workers (default
+// GOMAXPROCS), -timeout cancels the whole batch, and the tables are
+// byte-identical at any parallelism level. Each experiment's tables print
+// in the order named.
 //
 // Usage:
 //
@@ -23,6 +26,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"nopower/internal/experiments"
@@ -141,44 +145,65 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Tables     []*report.Table `json:"tables"`
 	}
 	var all []namedTables
-	batchStart := time.Now()
-	batchJobs := runner.JobCount()
-	for _, name := range names {
-		start := time.Now()
-		jobs := runner.JobCount()
-		var tables []*report.Table
-		var fromStore bool
+	// Settled experiments come from the store. The table experiments still
+	// to run are one sweep (experiments.RunExperiments), made when the first
+	// of them comes up; every other experiment runs on its own. Each is
+	// stored as soon as it has its tables, so a kill or a failure loses
+	// only the work in flight.
+	tables := make([][]*report.Table, len(names))
+	fromStore := make([]bool, len(names))
+	var swept []int // the table experiments to run, by index in names
+	for i, name := range names {
 		if store != nil {
-			cached, ok, err := store.Get(slotKey(name))
+			var err error
+			tables[i], fromStore[i], err = store.Get(slotKey(name))
 			if err != nil {
 				logger.Error("resume store", "experiment", name, "err", err)
 				return 1
 			}
-			tables, fromStore = cached, ok
 		}
-		if !fromStore {
-			var err error
-			tables, err = experiments.RunExperiment(ctx, name, opts...)
+		if !fromStore[i] && experiments.IsTable(name) {
+			swept = append(swept, i)
+		}
+	}
+	batchStart := time.Now()
+	batchJobs := runner.JobCount()
+	for i, name := range names {
+		start := time.Now()
+		jobs := runner.JobCount()
+		switch {
+		case fromStore[i]:
+			logger.Info("experiment resumed from store", "experiment", name)
+		case tables[i] == nil:
+			batch := []int{i}
+			if experiments.IsTable(name) {
+				batch = swept
+			}
+			batchNames := make([]string, len(batch))
+			for k, j := range batch {
+				batchNames[k] = names[j]
+			}
+			label := strings.Join(batchNames, " ")
+			ran, err := experiments.RunExperiments(ctx, batchNames, opts...)
 			if err != nil {
 				if errors.Is(err, context.DeadlineExceeded) {
-					logger.Error("experiment timed out", "experiment", name, "timeout", *timeout)
+					logger.Error("experiment timed out", "experiment", label, "timeout", *timeout)
 				} else {
-					logger.Error("experiment failed", "experiment", name, "err", err)
+					logger.Error("experiment failed", "experiment", label, "err", err)
 				}
 				return 1
 			}
-			if store != nil {
-				if err := store.Put(slotKey(name), tables); err != nil {
-					logger.Error("resume store", "experiment", name, "err", err)
-					return 1
+			for k, j := range batch {
+				tables[j] = ran[k]
+				if store != nil {
+					if err := store.Put(slotKey(names[j]), tables[j]); err != nil {
+						logger.Error("resume store", "experiment", names[j], "err", err)
+						return 1
+					}
 				}
 			}
-		}
-		if fromStore {
-			logger.Info("experiment resumed from store", "experiment", name)
-		} else {
 			logger.Info("experiment done",
-				"experiment", name,
+				"experiment", label,
 				"secs", fmt.Sprintf("%.1f", time.Since(start).Seconds()),
 				"jobs", runner.JobCount()-jobs,
 				"parallel", runner.Parallelism(*parallel))
@@ -190,10 +215,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				"cache_hits", stats.CacheHits, "cache_misses", stats.CacheMisses)
 		}
 		if *jsonOut {
-			all = append(all, namedTables{Experiment: name, Tables: tables})
+			all = append(all, namedTables{Experiment: name, Tables: tables[i]})
 			continue
 		}
-		for _, t := range tables {
+		for _, t := range tables[i] {
 			if *markdown {
 				fmt.Fprintln(stdout, t.Markdown())
 			} else {

@@ -153,3 +153,48 @@ func TestResumeDirSkipsSettledExperiments(t *testing.T) {
 		t.Errorf("new key did not execute:\n%s", errOut3.String())
 	}
 }
+
+// A failure later in a batch leaves every experiment finished before it in
+// the store and on stdout: the sweep of the table experiments, and each
+// other experiment, is stored as soon as it has its tables. A rerun prints
+// the bytes of a run without the store.
+func TestResumeDirKeepsWorkBeforeAFailure(t *testing.T) {
+	dir := t.TempDir()
+	var first, errOut bytes.Buffer
+	if code := run([]string{"-ticks", "300", "-resume-dir", dir, "stability", "fig7", "bogus", "migration"}, &first, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1: %s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), `unknown experiment \"bogus\"`) {
+		t.Errorf("failure not logged:\n%s", errOut.String())
+	}
+	for _, title := range []string{"Appendix A", "Fig. 7"} {
+		if !strings.Contains(first.String(), title) {
+			t.Errorf("stdout lacks %q, finished before the failure", title)
+		}
+	}
+	if strings.Contains(first.String(), "migration overhead") {
+		t.Error("stdout holds the migration table, named after the failure")
+	}
+
+	var second, errOut2 bytes.Buffer
+	if code := run([]string{"-ticks", "300", "-resume-dir", dir, "stability", "fig7", "migration"}, &second, &errOut2); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut2.String())
+	}
+	if n := strings.Count(errOut2.String(), `msg="experiment resumed from store"`); n != 3 {
+		t.Errorf("rerun resumed %d experiments from the store, want 3 (migration ran in fig7's sweep):\n%s", n, errOut2.String())
+	}
+	if strings.Contains(errOut2.String(), `msg="experiment done"`) {
+		t.Errorf("rerun re-executed a stored experiment:\n%s", errOut2.String())
+	}
+	if !strings.HasPrefix(second.String(), first.String()) {
+		t.Error("rerun does not start with the tables the failed run printed")
+	}
+
+	var fresh bytes.Buffer
+	if code := run([]string{"-q", "-ticks", "300", "stability", "fig7", "migration"}, &fresh, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if fresh.String() != second.String() {
+		t.Error("the resumed batch prints other bytes than a run without the store")
+	}
+}

@@ -175,7 +175,7 @@ func ChaosData(ctx context.Context, opts Options) ([]ChaosRow, error) {
 	sc := chaosScenario(opts).normalized()
 	return runner.Map(ctx, opts.Parallelism, chaosJobs(), func(ctx context.Context, j chaosJob) (ChaosRow, error) {
 		// The soak compares violations, not savings: baseline 0 skips them.
-		eng, res, err := execute(ctx, sc, j.spec, j.cse, 0, Observers{FaultPolicy: sim.FaultDegrade}, sc.Ticks)
+		eng, res, err := execute(ctx, sc, j.spec, j.cse, nil, Observers{FaultPolicy: sim.FaultDegrade}, sc.Ticks)
 		if err != nil {
 			return ChaosRow{}, fmt.Errorf("%s/%s: %w", j.cse.Name, j.stack, err)
 		}

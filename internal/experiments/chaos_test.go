@@ -15,7 +15,7 @@ import (
 func runChaos(t *testing.T, sc Scenario, spec core.Spec, cse ChaosCase, o Observers) ChaosRow {
 	t.Helper()
 	sc = sc.normalized()
-	eng, res, err := execute(context.Background(), sc, spec, cse, 0, o, sc.Ticks)
+	eng, res, err := execute(context.Background(), sc, spec, cse, nil, o, sc.Ticks)
 	if err != nil {
 		t.Fatalf("%s: %v", cse.Name, err)
 	}

@@ -197,11 +197,12 @@ type swept struct {
 // sweepData sweeps e at opts.
 func sweepData(t *testing.T, e tableSweep, opts Options) swept {
 	t.Helper()
-	runs, res, err := e.data(ctx, opts)
+	runs := e.runs(opts.normalized())
+	res, err := sweep(ctx, opts.Parallelism, runList{e.name, runs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return swept{runs, res}
+	return swept{runs, res[0]}
 }
 
 // get returns the result of the run with these labels.
@@ -225,6 +226,9 @@ func TestSweepLabels(t *testing.T) {
 		machineOffSweep, migrationSweep, timeConstSweep, policiesSweep, multiSeedSweep, extensionsSweep} {
 		if Describe(e.name) == "" {
 			t.Errorf("sweep %q is not a registered experiment", e.name)
+		}
+		if r, _ := lookup(e.name); r.sweep != nil && r.sweep.name != e.name {
+			t.Errorf("experiment %q sweeps %q", e.name, r.sweep.name)
 		}
 		seen := map[string]bool{}
 		for _, r := range e.runs(Options{}.normalized()) {
@@ -447,10 +451,11 @@ func TestStabilityShape(t *testing.T) {
 func TestMultiSeedShape(t *testing.T) {
 	opts := Options{Ticks: 1200, Seed: 42, Parallelism: 4}
 	runs := multiSeedRuns(opts, 3)
-	res, err := sweep(ctx, "multiseed", opts, runs)
+	out, err := sweep(ctx, opts.Parallelism, runList{"multiseed", runs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out[0]
 	if len(runs) != 6 {
 		t.Fatalf("%d runs, want 3 seeds x 2 stacks", len(runs))
 	}

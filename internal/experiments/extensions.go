@@ -22,7 +22,13 @@ import (
 func Extensions(ctx context.Context, opts Options) ([]*report.Table, error) {
 	opts = opts.normalized()
 	builders := []func(ctx context.Context) (*report.Table, error){
-		func(ctx context.Context) (*report.Table, error) { return extensionsSweep.table(ctx, opts) },
+		func(ctx context.Context) (*report.Table, error) {
+			t, err := sweepTables(ctx, opts, extensionsSweep)
+			if err != nil {
+				return nil, err
+			}
+			return t[0], nil
+		},
 		func(ctx context.Context) (*report.Table, error) { return extensionHeterogeneous(ctx, opts) },
 		func(ctx context.Context) (*report.Table, error) { return extensionMIMO() },
 		func(ctx context.Context) (*report.Table, error) { return extensionRack(ctx, opts) },

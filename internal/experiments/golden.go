@@ -125,11 +125,11 @@ func GoldenReplay(ctx context.Context) (IdentityReport, error) {
 	rep := IdentityReport{Result: want.result(), SnapshotBytes: len(goldenCkpt)}
 
 	var full, resumed metrics.Series
-	_, fullRes, err := execute(ctx, sc, spec, cse, 0, Observers{Series: &full, FaultPolicy: sim.FaultDegrade}, sc.Ticks)
+	_, fullRes, err := execute(ctx, sc, spec, cse, nil, Observers{Series: &full, FaultPolicy: sim.FaultDegrade}, sc.Ticks)
 	if err != nil {
 		return IdentityReport{}, fmt.Errorf("experiments: golden reference run: %w", err)
 	}
-	_, resumedRes, err := execute(ctx, sc, spec, cse, 0, Observers{
+	_, resumedRes, err := execute(ctx, sc, spec, cse, nil, Observers{
 		Series: &resumed, FaultPolicy: sim.FaultDegrade, Resume: file,
 	}, sc.Ticks)
 	if err != nil {

@@ -60,7 +60,7 @@ func TestRegenerateGoldenAoS(t *testing.T) {
 
 	// Uninterrupted run for the reference result bits.
 	var full metrics.Series
-	_, fullRes, err := execute(ctx, sc, spec, cse, 0, Observers{Series: &full, FaultPolicy: sim.FaultDegrade}, sc.Ticks)
+	_, fullRes, err := execute(ctx, sc, spec, cse, nil, Observers{Series: &full, FaultPolicy: sim.FaultDegrade}, sc.Ticks)
 	if err != nil {
 		t.Fatalf("full run: %v", err)
 	}

@@ -92,7 +92,7 @@ func CheckIdentity(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCa
 	}
 	ref := o.Series
 	spec.Shards = 1
-	_, res, err := execute(ctx, sc, spec, cse, baseline, o, sc.Ticks)
+	_, res, err := execute(ctx, sc, spec, cse, known(baseline), o, sc.Ticks)
 	if err != nil {
 		return IdentityReport{}, fmt.Errorf("identity reference: %w", err)
 	}
@@ -106,7 +106,7 @@ func CheckIdentity(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCa
 	// records its first divergence from the reference.
 	finish := func(name string, resume *checkpoint.File) error {
 		vo := observers(resume)
-		_, r, err := execute(ctx, sc, spec, cse, baseline, vo, sc.Ticks)
+		_, r, err := execute(ctx, sc, spec, cse, known(baseline), vo, sc.Ticks)
 		if err != nil {
 			return fmt.Errorf("identity %s: %w", name, err)
 		}
@@ -129,7 +129,7 @@ func CheckIdentity(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCa
 	}
 	var file *checkpoint.File
 	for _, k := range kills {
-		eng, _, err := execute(ctx, sc, spec, cse, baseline, observers(file), k)
+		eng, _, err := execute(ctx, sc, spec, cse, known(baseline), observers(file), k)
 		if err != nil {
 			return rep, fmt.Errorf("identity resume@%d: %w", k, err)
 		}

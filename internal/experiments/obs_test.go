@@ -27,7 +27,7 @@ func TestUncoordinatedStackConflictsCoordinatedClean(t *testing.T) {
 	run := func(spec core.Spec) *obs.ConflictDetector {
 		t.Helper()
 		det := obs.NewConflictDetector()
-		if _, _, err := execute(context.Background(), sc, spec, ChaosCase{}, 0,
+		if _, _, err := execute(context.Background(), sc, spec, ChaosCase{}, nil,
 			Observers{Tracer: det}, sc.Ticks); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestRunObservedAttachments(t *testing.T) {
 	sc.Ticks = 300
 	rec := obs.NewRingRecorder(0)
 	reg := obs.NewRegistry()
-	_, res, err := execute(context.Background(), sc, core.Coordinated(), ChaosCase{}, 0,
+	_, res, err := execute(context.Background(), sc, core.Coordinated(), ChaosCase{}, nil,
 		Observers{Tracer: rec, Metrics: reg}, sc.Ticks)
 	if err != nil {
 		t.Fatal(err)

@@ -84,38 +84,42 @@ func DefaultProfiler() *prof.Profiler { return defaultProfiler.Load() }
 // context cancels the run between simulation ticks and between jobs.
 type Runner func(ctx context.Context, opts Options) ([]*report.Table, error)
 
-// experiment is one registered experiment: its ID, its runner and the
+// experiment is one registered experiment: its ID, how it runs and the
 // one-line description `npexp list` prints.
 type experiment struct {
 	name string
-	run  Runner
-	desc string
+	// run executes an experiment that is not a table experiment.
+	run Runner
+	// sweep is a table experiment's runs and table; RunExperiments runs
+	// the table experiments of a batch as one sweep.
+	sweep *tableSweep
+	desc  string
 }
 
 // registry lists the experiments in DESIGN.md §4 order, which is the order
 // Names reports and `npexp all` runs them in.
 var registry = []experiment{
-	{"models", Models, "the Fig. 5 power/performance calibrations and base parameters"},
-	{"fig7", fig7Sweep.run, "coordinated vs uncoordinated: violations + perf loss, 4 configs (Fig. 7)"},
-	{"fig8", fig8Sweep.run, "isolating controllers: Coordinated / NoVMC / VMCOnly savings (Fig. 8)"},
-	{"fig9", fig9Sweep.run, "coordination-interface ablations (Fig. 9)"},
-	{"fig10", fig10Sweep.run, "power-budget sensitivity: 20-15-10 / 25-20-15 / 30-25-20 (Fig. 10)"},
-	{"pstates", pstatesSweep.run, "number of P-states: full ladder vs two extremes (§5.3)"},
-	{"machineoff", machineOffSweep.run, "avoiding turning machines off (§5.4)"},
-	{"migration", migrationSweep.run, "migration-overhead sensitivity: 10/20/50 % (§5.4)"},
-	{"timeconst", timeConstSweep.run, "time-constant sensitivity for EC/SM/GM/VMC (§5.4)"},
-	{"policies", policiesSweep.run, "EM/GM division-policy choices (§5.4)"},
-	{"failover", Failover, "thermal-failover prototype: EC+SM under sustained load (§5.1)"},
-	{"stability", Stability, "Appendix A: EC and SM stability sweeps"},
-	{"multiseed", multiSeedSweep.run, "seed robustness of the headline comparison (beyond the paper)"},
-	{"extensions", Extensions, "§6.1 extensions: VM-level EC, energy-delay objective, CAP, heterogeneity, MIMO"},
-	{"cooling", Cooling, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
-	{"chaos", Chaos, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},
-	{"replay", Replay, "chaos soak re-run sharded and killed-and-resumed from checkpoints; verifies bitwise identity"},
-	{"scale", scale10k.run, "10k-server fleet: sharded and resumed tick engine vs serial, bit-identical results (E17)"},
-	{"scale100k", scale100k.run, "100k-server fleet: columnar cluster store, sharded and resumed vs serial bit-identity (E18)"},
-	{"facility", Facility, "facility co-simulation: UPS/PDU losses, weather-derated cooling, PUE, FM budget (E21)"},
-	{"hetero", Hetero, "heterogeneous fleets: coordinated vs uncoordinated across three profile mixes (E22)"},
+	{"models", Models, nil, "the Fig. 5 power/performance calibrations and base parameters"},
+	{"fig7", nil, &fig7Sweep, "coordinated vs uncoordinated: violations + perf loss, 4 configs (Fig. 7)"},
+	{"fig8", nil, &fig8Sweep, "isolating controllers: Coordinated / NoVMC / VMCOnly savings (Fig. 8)"},
+	{"fig9", nil, &fig9Sweep, "coordination-interface ablations (Fig. 9)"},
+	{"fig10", nil, &fig10Sweep, "power-budget sensitivity: 20-15-10 / 25-20-15 / 30-25-20 (Fig. 10)"},
+	{"pstates", nil, &pstatesSweep, "number of P-states: full ladder vs two extremes (§5.3)"},
+	{"machineoff", nil, &machineOffSweep, "avoiding turning machines off (§5.4)"},
+	{"migration", nil, &migrationSweep, "migration-overhead sensitivity: 10/20/50 % (§5.4)"},
+	{"timeconst", nil, &timeConstSweep, "time-constant sensitivity for EC/SM/GM/VMC (§5.4)"},
+	{"policies", nil, &policiesSweep, "EM/GM division-policy choices (§5.4)"},
+	{"failover", Failover, nil, "thermal-failover prototype: EC+SM under sustained load (§5.1)"},
+	{"stability", Stability, nil, "Appendix A: EC and SM stability sweeps"},
+	{"multiseed", nil, &multiSeedSweep, "seed robustness of the headline comparison (beyond the paper)"},
+	{"extensions", Extensions, nil, "§6.1 extensions: VM-level EC, energy-delay objective, CAP, heterogeneity, MIMO"},
+	{"cooling", Cooling, nil, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
+	{"chaos", Chaos, nil, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},
+	{"replay", Replay, nil, "chaos soak re-run sharded and killed-and-resumed from checkpoints; verifies bitwise identity"},
+	{"scale", scale10k.run, nil, "10k-server fleet: sharded and resumed tick engine vs serial, bit-identical results (E17)"},
+	{"scale100k", scale100k.run, nil, "100k-server fleet: columnar cluster store, sharded and resumed vs serial bit-identity (E18)"},
+	{"facility", Facility, nil, "facility co-simulation: UPS/PDU losses, weather-derated cooling, PUE, FM budget (E21)"},
+	{"hetero", Hetero, nil, "heterogeneous fleets: coordinated vs uncoordinated across three profile mixes (E22)"},
 }
 
 // Names lists the registered experiment IDs in DESIGN.md order.
@@ -143,18 +147,71 @@ func Describe(name string) string {
 	return e.desc
 }
 
-// RunExperiment executes a registered experiment by name. This is the
-// canonical entry point: the context cancels the run mid-batch, and the
-// variadic options select ticks, seed, and parallelism. The experiment is
-// one run group (ShareTraces): its runs share each trace set it needs.
-func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.Table, error) {
+// IsTable reports whether name is a table experiment, one that
+// RunExperiments sweeps together with the other table experiments of its
+// batch.
+func IsTable(name string) bool {
 	e, ok := lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	return ok && e.sweep != nil
+}
+
+// RunExperiment executes a registered experiment by name: the one-name
+// case of RunExperiments. The context cancels the run mid-batch, and the
+// variadic options select ticks, seed, and parallelism.
+func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.Table, error) {
+	tables, err := RunExperiments(ctx, []string{name}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
+}
+
+// RunExperiments executes the named registered experiments in the order
+// given and returns their tables in that order. The table experiments
+// among them run as one sweep in one run group (ShareTraces), at the place
+// of the first one: each distinct run and baseline of the batch runs once,
+// and each trace set is synthesized once. Every other experiment runs in a
+// run group of its own. An unknown name fails the call before anything
+// runs, and the first error stops the batch.
+func RunExperiments(ctx context.Context, names []string, opts ...Option) ([][]*report.Table, error) {
+	exps := make([]experiment, len(names))
+	var sweeps []tableSweep
+	for i, name := range names {
+		e, ok := lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+		}
+		exps[i] = e
+		if e.sweep != nil {
+			sweeps = append(sweeps, *e.sweep)
+		}
 	}
 	var o Options
 	for _, apply := range opts {
 		apply(&o)
 	}
-	return e.run(ShareTraces(ctx), o)
+	out := make([][]*report.Table, len(names))
+	for i, e := range exps {
+		if out[i] != nil {
+			continue
+		}
+		if e.sweep == nil {
+			tables, err := e.run(ShareTraces(ctx), o)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = tables
+			continue
+		}
+		tables, err := sweepTables(ShareTraces(ctx), o, sweeps...)
+		if err != nil {
+			return nil, err
+		}
+		for j := i; j < len(exps); j++ {
+			if exps[j].sweep != nil {
+				out[j], tables = []*report.Table{tables[0]}, tables[1:]
+			}
+		}
+	}
+	return out, nil
 }

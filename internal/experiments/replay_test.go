@@ -240,7 +240,7 @@ func writeOrderedCheckpoints(t *testing.T, reverse bool, path string) {
 	for _, spec := range []core.Spec{full, vmLevel} {
 		spec.Periods = shortPeriods()
 		var series metrics.Series
-		eng, _, err := execute(ctx, sc, spec, flap, 0, Observers{Series: &series}, 30)
+		eng, _, err := execute(ctx, sc, spec, flap, nil, Observers{Series: &series}, 30)
 		if err != nil {
 			t.Fatal(err)
 		}

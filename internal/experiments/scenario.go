@@ -209,8 +209,13 @@ func (sc Scenario) buildCluster(ctx context.Context) (*cluster.Cluster, error) {
 // baseline average power, letting callers share the baseline across specs.
 func RunVsBaseline(ctx context.Context, sc Scenario, spec core.Spec, baselineAvgPower float64) (metrics.Result, error) {
 	sc = sc.normalized()
-	_, res, err := execute(ctx, sc, spec, ChaosCase{}, baselineAvgPower, Observers{}, sc.Ticks)
+	_, res, err := execute(ctx, sc, spec, ChaosCase{}, known(baselineAvgPower), Observers{}, sc.Ticks)
 	return res, err
+}
+
+// known is a baseline already computed: avgPower Watts.
+func known(avgPower float64) func() (float64, error) {
+	return func() (float64, error) { return avgPower, nil }
 }
 
 // Observers bundles the optional observability attachments of a run. The
@@ -341,9 +346,11 @@ func (o Observers) finish() error {
 // spec, cse) through newChaosEngine, attaches o (restoring o.Resume when
 // set), and runs to the absolute tick until. It returns the engine — for a
 // snapshot or the degraded-mode count — and, when until is sc.Ticks, the
-// result finalized against baseline (0 skips the savings metric). sc must be
-// normalized.
-func execute(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, baseline float64, o Observers, until int) (*sim.Engine, metrics.Result, error) {
+// result finalized against the baseline average power that baseline
+// returns. baseline is called only then, after the last tick, so a sweep's
+// run never waits on its baseline before it starts; nil skips the savings
+// metric. sc must be normalized.
+func execute(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, baseline func() (float64, error), o Observers, until int) (*sim.Engine, metrics.Result, error) {
 	eng, h, err := newChaosEngine(ctx, sc, spec, cse)
 	if err != nil {
 		return nil, metrics.Result{}, err
@@ -362,7 +369,13 @@ func execute(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, ba
 	if err != nil || until < sc.Ticks {
 		return eng, metrics.Result{}, err
 	}
-	res := col.Finalize(baseline)
+	avg := 0.0
+	if baseline != nil {
+		if avg, err = baseline(); err != nil {
+			return eng, metrics.Result{}, err
+		}
+	}
+	res := col.Finalize(avg)
 	return eng, res, res.Valid()
 }
 

@@ -41,7 +41,7 @@ func firstDemand(t *testing.T, ctx context.Context, sc Scenario, spec core.Spec)
 		}
 	}}
 	sc = sc.normalized()
-	if _, _, err := execute(ctx, sc, spec, ChaosCase{}, 0, o, sc.Ticks); err != nil {
+	if _, _, err := execute(ctx, sc, spec, ChaosCase{}, nil, o, sc.Ticks); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -111,7 +111,7 @@ func TestSharedSetConcurrentRuns(t *testing.T) {
 	spec := core.Coordinated()
 	cases := []ChaosCase{goldenCase(), {}}
 	run := func(ctx context.Context, cse ChaosCase) (metrics.Result, error) {
-		_, res, err := execute(ctx, sc, spec, cse, 0, Observers{FaultPolicy: sim.FaultDegrade}, sc.Ticks)
+		_, res, err := execute(ctx, sc, spec, cse, nil, Observers{FaultPolicy: sim.FaultDegrade}, sc.Ticks)
 		return res, err
 	}
 	got := make([]metrics.Result, len(cases))

@@ -110,9 +110,7 @@ func (s RunSpec) Normalized() RunSpec {
 		b := Base201510()
 		s.CapGrp, s.CapEnc, s.CapLoc = b.Grp, b.Enc, b.Loc
 	}
-	if s.Policy == "" {
-		s.Policy = "proportional"
-	}
+	s.Policy = policyName(s.Policy)
 	if s.Chaos == "fault-free" {
 		s.Chaos = ""
 	}
@@ -126,6 +124,15 @@ func (s RunSpec) Normalized() RunSpec {
 		}
 	}
 	return s
+}
+
+// policyName spells the division policy name selects, as policy.ByName
+// reads it: "" is the proportional policy.
+func policyName(name string) string {
+	if name == "" {
+		return policy.Proportional{}.Name()
+	}
+	return name
 }
 
 // Validate rejects specs that could never run or would run meaningless
@@ -294,7 +301,7 @@ func (s RunSpec) Run(ctx context.Context, baseline float64, o Observers) (res me
 	}
 	o.FaultPolicy = policy
 	sc := s.Scenario().normalized()
-	eng, res, err := execute(ctx, sc, spec, cse, baseline, o, sc.Ticks)
+	eng, res, err := execute(ctx, sc, spec, cse, known(baseline), o, sc.Ticks)
 	if err != nil {
 		return metrics.Result{}, 0, err
 	}

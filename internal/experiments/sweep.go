@@ -27,26 +27,152 @@ type sweepRun struct {
 // key joins the run's labels with "/"; it names the run in errors and tests.
 func (r sweepRun) key() string { return strings.Join(r.labels, "/") }
 
-// sweep runs every run against its scenario's no-management baseline on the
-// worker pool and returns the results in run order, whatever order they
-// finish in. The one baseline rule: a run's baseline is that of its
-// scenario with PStates cleared, the full ladder, so the restricted runs of
-// fig9 and pstates share their siblings' cached baseline whichever run
-// computes it.
-func sweep(ctx context.Context, name string, opts Options, runs []sweepRun) ([]metrics.Result, error) {
-	return runner.Map(ctx, opts.Parallelism, runs, func(ctx context.Context, r sweepRun) (metrics.Result, error) {
-		bsc := r.sc
-		bsc.PStates = nil
-		baseline, err := cachedBaseline(ctx, bsc)
-		var res metrics.Result
-		if err == nil {
-			res, err = RunVsBaseline(ctx, r.sc, r.spec, baseline)
+// baseline is the scenario of the run's baseline under the one baseline
+// rule: the run's own with PStates cleared, the full ladder. So the
+// restricted runs of fig9 and pstates share their siblings' baseline.
+func (r sweepRun) baseline() Scenario {
+	sc := r.sc
+	sc.PStates = nil
+	return sc
+}
+
+// runKey identifies what a run computes: its normalized Scenario and its
+// core.Spec, without the execution-only Shards of either. It is the run's
+// BaselineKey (the fleet, the workloads, ticks, seed and AlphaV; a
+// caller's trace set by identity) and what the managed run adds to it. The
+// optional VMC flags count by value, and Policy "" is keyed as the policy
+// it selects. Runs with equal keys produce bit-identical results.
+type runKey struct {
+	BaselineKey
+	budgets        Budgets
+	migrationTicks int
+	alphaM         float64
+	pstates        string
+	// spec is the run's core.Spec with Shards and the three optional VMC
+	// flags cleared; vmc holds those flags by value.
+	spec core.Spec
+	vmc  [3]int8
+}
+
+// runKey returns the key of the run.
+func (r sweepRun) runKey() runKey {
+	sc := r.sc.normalized()
+	k := runKey{BaselineKey: sc.BaselineKey(), budgets: sc.Budgets, migrationTicks: sc.MigrationTicks,
+		alphaM: sc.AlphaM, spec: r.spec}
+	if sc.PStates != nil {
+		k.pstates = fmt.Sprint(sc.PStates)
+	}
+	k.spec.Shards = 0
+	k.spec.Policy = policyName(k.spec.Policy)
+	k.vmc = [3]int8{flagKey(k.spec.VMCRealUtil), flagKey(k.spec.VMCBudgets), flagKey(k.spec.VMCFeedback)}
+	k.spec.VMCRealUtil, k.spec.VMCBudgets, k.spec.VMCFeedback = nil, nil, nil
+	return k
+}
+
+// flagKey is an optional flag by value: 0 unset, 1 false, 2 true.
+func flagKey(b *bool) int8 {
+	switch {
+	case b == nil:
+		return 0
+	case *b:
+		return 2
+	}
+	return 1
+}
+
+// runList is one table experiment's runs, in table order, under the
+// experiment's name.
+type runList struct {
+	name string
+	runs []sweepRun
+}
+
+// sweepJob is one job of a sweep: a distinct run, or the baseline of one,
+// under the experiment and labels of the first row that lists it.
+type sweepJob struct {
+	name     string
+	run      sweepRun
+	baseline bool
+}
+
+// sweepPlan is a sweep's job list: each distinct baseline (by BaselineKey,
+// under the one baseline rule), then each distinct run (by runKey), both
+// in the order their first rows are listed.
+type sweepPlan struct {
+	jobs []sweepJob
+	// baselines is how many of jobs are baselines.
+	baselines int
+	// rows[l][i] is the index in jobs[baselines:] of list l's run i.
+	rows [][]int
+}
+
+// plan lists the jobs of a sweep over lists.
+func plan(lists []runList) sweepPlan {
+	var (
+		runs         []sweepJob
+		p            = sweepPlan{rows: make([][]int, len(lists))}
+		seenBaseline = map[BaselineKey]bool{}
+		seenRun      = map[runKey]int{}
+	)
+	for l, list := range lists {
+		p.rows[l] = make([]int, len(list.runs))
+		for i, r := range list.runs {
+			k := r.runKey()
+			j, ok := seenRun[k]
+			if !ok {
+				j = len(runs)
+				seenRun[k] = j
+				runs = append(runs, sweepJob{list.name, r, false})
+				if bk := r.baseline().BaselineKey(); !seenBaseline[bk] {
+					seenBaseline[bk] = true
+					p.jobs = append(p.jobs, sweepJob{list.name, r, true})
+				}
+			}
+			p.rows[l][i] = j
+		}
+	}
+	p.baselines = len(p.jobs)
+	p.jobs = append(p.jobs, runs...)
+	return p
+}
+
+// sweep runs the runs of every list as one job list on one worker pool and
+// returns each list's results in run order, whatever order they finish in.
+// Each distinct run runs once, and its result goes to every row of every
+// list that holds it; an error names the experiment and labels of the
+// first such row. The baselines are listed ahead of every run, and a run
+// reads its baseline only when its collector is finalized, so no worker
+// waits on a baseline before a run's first tick.
+func sweep(ctx context.Context, parallelism int, lists ...runList) ([][]metrics.Result, error) {
+	p := plan(lists)
+	res := make([]metrics.Result, len(p.jobs)-p.baselines)
+	err := runner.ForEach(ctx, parallelism, len(p.jobs), func(ctx context.Context, i int) error {
+		j := p.jobs[i]
+		bsc := j.run.baseline()
+		var err error
+		if j.baseline {
+			_, err = cachedBaseline(ctx, bsc)
+		} else {
+			sc := j.run.sc.normalized()
+			_, res[i-p.baselines], err = execute(ctx, sc, j.run.spec, ChaosCase{},
+				func() (float64, error) { return cachedBaseline(ctx, bsc) }, Observers{}, sc.Ticks)
 		}
 		if err != nil {
-			return metrics.Result{}, fmt.Errorf("%s %s: %w", name, r.key(), err)
+			return fmt.Errorf("%s %s: %w", j.name, j.run.key(), err)
 		}
-		return res, nil
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Result, len(lists))
+	for l, rows := range p.rows {
+		out[l] = make([]metrics.Result, len(rows))
+		for i, j := range rows {
+			out[l][i] = res[j]
+		}
+	}
+	return out, nil
 }
 
 // tableSweep is a table experiment: the runs it sweeps and the table it
@@ -60,30 +186,23 @@ type tableSweep struct {
 	render func(runs []sweepRun, res []metrics.Result) *report.Table
 }
 
-// data sweeps the experiment's runs at opts.
-func (e tableSweep) data(ctx context.Context, opts Options) ([]sweepRun, []metrics.Result, error) {
+// sweepTables runs the table experiments es at opts as one sweep and
+// renders their tables, in the order given.
+func sweepTables(ctx context.Context, opts Options, es ...tableSweep) ([]*report.Table, error) {
 	opts = opts.normalized()
-	runs := e.runs(opts)
-	res, err := sweep(ctx, e.name, opts, runs)
-	return runs, res, err
-}
-
-// table sweeps the runs and renders their table.
-func (e tableSweep) table(ctx context.Context, opts Options) (*report.Table, error) {
-	runs, res, err := e.data(ctx, opts)
+	lists := make([]runList, len(es))
+	for i, e := range es {
+		lists[i] = runList{e.name, e.runs(opts)}
+	}
+	res, err := sweep(ctx, opts.Parallelism, lists...)
 	if err != nil {
 		return nil, err
 	}
-	return e.render(runs, res), nil
-}
-
-// run is the experiment's Runner.
-func (e tableSweep) run(ctx context.Context, opts Options) ([]*report.Table, error) {
-	t, err := e.table(ctx, opts)
-	if err != nil {
-		return nil, err
+	out := make([]*report.Table, len(es))
+	for i, e := range es {
+		out[i] = e.render(lists[i].runs, res[i])
 	}
-	return []*report.Table{t}, nil
+	return out, nil
 }
 
 // column is one result column of a sweep table: its header and the metric

@@ -23,10 +23,9 @@ import (
 	"math/rand"
 
 	"nopower/internal/cluster"
+	"nopower/internal/controllers/budget"
 	"nopower/internal/controllers/ec"
-	"nopower/internal/controllers/em"
 	"nopower/internal/controllers/fm"
-	"nopower/internal/controllers/gm"
 	"nopower/internal/controllers/pm"
 	"nopower/internal/controllers/sm"
 	"nopower/internal/controllers/vmc"
@@ -241,8 +240,8 @@ type Handles struct {
 	EC      *ec.Controller
 	VMEC    *vmec.Controller
 	SM      *sm.Controller
-	EM      *em.Controller
-	GM      *gm.Controller
+	EM      *budget.Controller
+	GM      *budget.Controller
 	VMC     *vmc.Controller
 	CAP     *sm.ElectricalCapper
 	Cooling *cooling.Manager
@@ -344,23 +343,19 @@ func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
 		}
 		stack = append(stack, h.VMC)
 	}
+	budgetMode := budget.Uncoordinated
+	if spec.Coordinated {
+		budgetMode = budget.Coordinated
+	}
 	if spec.EnableGM {
-		mode := gm.Uncoordinated
-		if spec.Coordinated {
-			mode = gm.Coordinated
-		}
-		h.GM, err = gm.New(mode, pol, spec.Periods.GM)
+		h.GM, err = budget.New(budget.GM, budgetMode, pol, spec.Periods.GM)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 		stack = append(stack, h.GM)
 	}
 	if spec.EnableEM {
-		mode := em.Uncoordinated
-		if spec.Coordinated {
-			mode = em.Coordinated
-		}
-		h.EM, err = em.New(mode, pol, spec.Periods.EM)
+		h.EM, err = budget.New(budget.EM, budgetMode, pol, spec.Periods.EM)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}

@@ -18,25 +18,28 @@ import (
 // five base controllers: VM-level efficiency control with arbitration (4),
 // the energy-delay objective (6), the electrical capper (2), heterogeneous
 // fleets (5), and the MIMO component/platform coordination (1, 3). The
-// four sub-studies are independent and fan out across the worker pool.
+// four sub-studies run one after another: the E13 sweep and the rack study
+// each fan out over a pool of opts.Parallelism workers, and a pool around
+// them would put up to twice that many simulations in flight.
 func Extensions(ctx context.Context, opts Options) ([]*report.Table, error) {
 	opts = opts.normalized()
-	builders := []func(ctx context.Context) (*report.Table, error){
-		func(ctx context.Context) (*report.Table, error) {
-			t, err := sweepTables(ctx, opts, extensionsSweep)
-			if err != nil {
-				return nil, err
-			}
-			return t[0], nil
-		},
-		func(ctx context.Context) (*report.Table, error) { return extensionHeterogeneous(ctx, opts) },
-		func(ctx context.Context) (*report.Table, error) { return extensionMIMO() },
-		func(ctx context.Context) (*report.Table, error) { return extensionRack(ctx, opts) },
+	sweep, err := sweepTables(ctx, opts, extensionsSweep)
+	if err != nil {
+		return nil, err
 	}
-	return runner.Map(ctx, opts.Parallelism, builders,
-		func(ctx context.Context, build func(ctx context.Context) (*report.Table, error)) (*report.Table, error) {
-			return build(ctx)
-		})
+	hetero, err := extensionHeterogeneous(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	mimo, err := extensionMIMO()
+	if err != nil {
+		return nil, err
+	}
+	rack, err := extensionRack(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	return []*report.Table{sweep[0], hetero, mimo, rack}, nil
 }
 
 // extensionRack nests the MIMO platform cappers under a rack manager — the

@@ -3,13 +3,17 @@ package experiments
 // Tests for the parallel-runner guarantees: tables are byte-identical at
 // any parallelism level (results are keyed by job position, never by
 // completion order), and cancelling the context mid-batch surfaces
-// context.Canceled instead of a partial table.
+// context.Canceled instead of a partial table, and a pool bound is the
+// bound on simulations in flight.
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+
+	"nopower/internal/runner"
 )
 
 // renderAll renders every table from one experiment into a single string so
@@ -79,4 +83,35 @@ func TestParallelCancellationMidRun(t *testing.T) {
 	}()
 	cancel()
 	<-done
+}
+
+// TestExtensionsParallelismBound samples the runner's in-flight job count
+// while E13 runs at parallelism 2. Its sub-studies run one after another and
+// only the E13 sweep's and the rack study's pools fan out, so no more than
+// two jobs are ever in flight; sub-studies on a pool of their own would
+// add their own jobs on top of the inner ones.
+func TestExtensionsParallelismBound(t *testing.T) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	var peak int64
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			peak = max(peak, runner.Stats().InFlight)
+			runtime.Gosched()
+		}
+	}()
+	_, err := RunExperiment(context.Background(), "extensions", WithTicks(600), WithParallelism(2))
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak > 2 {
+		t.Errorf("%d runner jobs in flight at parallelism 2", peak)
+	}
 }

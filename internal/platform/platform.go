@@ -39,7 +39,7 @@ func (s State) Power(u float64) float64 {
 	if u > 1 {
 		u = 1
 	}
-	return s.C*u + s.D
+	return float64(s.C*u) + s.D
 }
 
 // Component is one power-manageable platform part.

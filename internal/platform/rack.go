@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 
+	"nopower/internal/policy"
 	"nopower/internal/trace"
 	"nopower/internal/tracegen"
 )
@@ -87,7 +88,7 @@ func (r *Rack) demandAt(platform, tick int) Demand {
 		}
 		scalar := w.Trace.At(tick)
 		for c := 0; c < 3; c++ {
-			d[c] += scalar * w.Weights[c]
+			d[c] += float64(scalar * w.Weights[c])
 		}
 	}
 	return d
@@ -147,25 +148,15 @@ func (r *Rack) Run(ticks, rackPeriod int) (RackResult, error) {
 	return res, nil
 }
 
-// reprovision divides the rack budget proportionally to observed draw
-// (floored like policy.Proportional) and installs min(static, share) as each
-// platform controller's budget — the GM→SM pattern one level down.
+// reprovision divides the rack budget by proportional share of the
+// observed draw (policy.Proportional) and installs min(static, share) as
+// each platform controller's budget — the GM→SM pattern one level down.
 func (r *Rack) reprovision(lastPower []float64) {
-	weights := make([]float64, len(r.Platforms))
-	sum := 0.0
+	children := make([]policy.Child, len(r.Platforms))
 	for i, p := range r.Platforms {
-		w := lastPower[i]
-		if floor := 0.05 * p.MaxPower(); w < floor {
-			w = floor
-		}
-		weights[i] = w
-		sum += w
+		children[i] = policy.Child{ID: i, Power: lastPower[i], MaxPower: p.MaxPower()}
 	}
-	if sum <= 0 {
-		return
-	}
-	for i := range r.Platforms {
-		share := r.StaticBudget * weights[i] / sum
+	for i, share := range (policy.Proportional{}).Divide(r.StaticBudget, children) {
 		if share > r.StaticLocal {
 			share = r.StaticLocal
 		}

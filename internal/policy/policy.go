@@ -190,7 +190,7 @@ func (h *History) Divide(total float64, children []Child) []float64 {
 		if !ok {
 			prev = c.Power
 		}
-		cur := alpha*c.Power + (1-alpha)*prev
+		cur := float64(alpha*c.Power) + float64((1-alpha)*prev)
 		h.ewma[c.ID] = cur
 		w := cur
 		if floor := floorFrac * c.MaxPower; w < floor {

@@ -97,13 +97,19 @@ lint:
 # disjoint arena and index range of one trace slice, and several builds run
 # at once. The batch identity test repeats five times: a sweep's pool
 # workers write the shared result slots and baseline cache entries that
-# every row of the batch reads back. verify and the obs coverage floor ride
-# along so one target stays the pre-merge gate.
+# every row of the batch reads back. The concurrent serve tests repeat ten
+# times: a job's baseline runs on a second pool worker beside its managed
+# run (taken at the job's start, or when a worker frees during the run),
+# both read one trace set, and a stopped tenant's shared baseline is
+# retried by the jobs joined on it, all on schedules the detector sees only
+# when they interleave. verify and the obs coverage floor ride along so one
+# target stays the pre-merge gate.
 race: verify cover
 	$(GO) test -race -count=10 -run 'TestShardDeterminism' ./internal/sim
 	$(GO) test -race -count=10 -run 'TestSharedSetConcurrentRuns' ./internal/experiments
 	$(GO) test -race -count=10 -run 'TestBuildMixConcurrent' ./internal/tracegen
 	$(GO) test -race -count=5 -run 'TestRunExperimentsMatchesEach' ./internal/experiments
+	$(GO) test -race -count=10 -run 'TestBaselinePoolJobs|TestServeParallelismBound|TestBaselineTakesFreedWorker|TestForeignBaselineStopRetries|TestTenantStopSparesSharedBaseline' ./internal/serve
 	$(GO) test -race -count=1 ./internal/cluster ./internal/controllers/ec ./internal/controllers/vmec
 	$(GO) test -race ./...
 

@@ -183,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "baseline:", err)
 		return 1
 	}
-	res, disabled, err := spec.Run(ctx, baseline, o)
+	res, disabled, err := spec.Run(ctx, func() (float64, error) { return baseline, nil }, o)
 	if err != nil {
 		fmt.Fprintln(stderr, "run:", err)
 		return 1

@@ -530,7 +530,7 @@ func TestFlagsToSpec(t *testing.T) {
 			reg := obs.NewRegistry()
 			rep, refErr := experiments.CheckIdentity(ctx, ref.sc, ref.spec, ref.cse, baseline,
 				experiments.Observers{FaultPolicy: ref.policy, Metrics: reg})
-			res, disabled, err := spec.Run(ctx, baseline, experiments.Observers{})
+			res, disabled, err := spec.Run(ctx, func() (float64, error) { return baseline, nil }, experiments.Observers{})
 			if row.fails {
 				if refErr == nil || err == nil {
 					t.Fatalf("reference error %v, spec error %v; want both runs to fail", refErr, err)

@@ -219,43 +219,38 @@ type unitPartial struct {
 	hasEnc, hasLoc                     bool
 }
 
-// combine merges two partials: sums for the additive fields, min-merge for
-// the headrooms. It is the tree reduction's node operator.
-func combine(a, b unitPartial) unitPartial {
-	out := unitPartial{
-		power: a.power + b.power, demand: a.demand + b.demand,
-		delivered: a.delivered + b.delivered, violMass: a.violMass + b.violMass,
-		on: a.on + b.on, violSM: a.violSM + b.violSM, violEM: a.violEM + b.violEM,
-		hEnc: a.hEnc, hasEnc: a.hasEnc, hLoc: a.hLoc, hasLoc: a.hasLoc,
+// merge adds b into p: sums for the additive fields (p's value first),
+// min-merge for the headrooms. It is the tree reduction's node operator.
+func (p *unitPartial) merge(b *unitPartial) {
+	p.power += b.power
+	p.demand += b.demand
+	p.delivered += b.delivered
+	p.violMass += b.violMass
+	p.on += b.on
+	p.violSM += b.violSM
+	p.violEM += b.violEM
+	if b.hasEnc && (!p.hasEnc || b.hEnc < p.hEnc) {
+		p.hEnc, p.hasEnc = b.hEnc, true
 	}
-	if b.hasEnc && (!out.hasEnc || b.hEnc < out.hEnc) {
-		out.hEnc, out.hasEnc = b.hEnc, true
+	if b.hasLoc && (!p.hasLoc || b.hLoc < p.hLoc) {
+		p.hLoc, p.hasLoc = b.hLoc, true
 	}
-	if b.hasLoc && (!out.hasLoc || b.hLoc < out.hLoc) {
-		out.hLoc, out.hasLoc = b.hLoc, true
-	}
-	return out
 }
 
-// reduceTree folds the partials pairwise, level by level, in place. The fold
-// shape is a pure function of len(ps) — independent of which goroutine
-// produced which partial and of timing — so float sums associate identically
-// on every run at every shard count.
+// reduceTree folds the partials pairwise, level by level, in place: at
+// stride s, each partial at a multiple of 2s absorbs its neighbour s slots
+// up, and a level's odd partial out waits for the next. The fold shape is a
+// pure function of len(ps) — independent of which goroutine produced which
+// partial and of timing — so float sums associate identically on every run
+// at every shard count.
 func reduceTree(ps []unitPartial) unitPartial {
-	n := len(ps)
-	if n == 0 {
+	if len(ps) == 0 {
 		return unitPartial{}
 	}
-	for n > 1 {
-		half := n / 2
-		for i := 0; i < half; i++ {
-			ps[i] = combine(ps[2*i], ps[2*i+1])
+	for s := 1; s < len(ps); s *= 2 {
+		for i := 0; i+s < len(ps); i += 2 * s {
+			ps[i].merge(&ps[i+s])
 		}
-		if n%2 == 1 {
-			ps[half] = ps[n-1]
-			half++
-		}
-		n = half
 	}
 	return ps[0]
 }

@@ -39,7 +39,7 @@ func TestDivisionDigest(t *testing.T) {
 		for _, pol := range policy.Names() {
 			s := base
 			s.Stack, s.Policy = stack, pol
-			res, _, err := s.Run(ctx, baseline, Observers{})
+			res, _, err := s.Run(ctx, known(baseline), Observers{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", stack, pol, err)
 			}

@@ -11,9 +11,11 @@ import (
 	"nopower/internal/tracegen"
 )
 
-// Run one simulation the way npsim and npserved do: validate a RunSpec,
-// measure its scenario's no-management baseline (all servers on at full
-// speed, no controllers), and run the spec's controller stack against it.
+// Run one simulation the way npsim does: validate a RunSpec, measure its
+// scenario's no-management baseline (all servers on at full speed, no
+// controllers), and run the spec's controller stack against it. The run
+// reads the baseline only when it finalizes, so npserved starts the two
+// side by side instead.
 func ExampleRunSpec_Run() {
 	spec := experiments.RunSpec{Mix: "60L", Stack: "coordinated", Ticks: 1500, Seed: 7}
 	if err := spec.Validate(); err != nil {
@@ -24,7 +26,7 @@ func ExampleRunSpec_Run() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := spec.Run(ctx, baseline, experiments.Observers{})
+	res, _, err := spec.Run(ctx, func() (float64, error) { return baseline, nil }, experiments.Observers{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -287,12 +287,14 @@ func (s RunSpec) Fault() (sim.FaultPolicy, error) {
 	return sim.FaultPolicyByName(s.FaultPolicy)
 }
 
-// Run executes the spec against baseline — the no-management average power
-// of its scenario (BaselinePower of s.Scenario()) — with o attached, under
-// the spec's fault policy (which replaces o.FaultPolicy). It returns the
+// Run executes the spec with o attached, under the spec's fault policy
+// (which replaces o.FaultPolicy), and finalizes it against the
+// no-management average power of its scenario (BaselinePower of
+// s.Scenario()) that baseline returns. baseline is called once, after the
+// last tick, so the run need not wait for it to start. It returns the
 // finalized result and the number of controllers the degrade policy
 // disabled. Callers validate the spec first.
-func (s RunSpec) Run(ctx context.Context, baseline float64, o Observers) (res metrics.Result, disabled int, err error) {
+func (s RunSpec) Run(ctx context.Context, baseline func() (float64, error), o Observers) (res metrics.Result, disabled int, err error) {
 	spec, err := s.CoreSpec()
 	cse, cerr := s.ChaosCase()
 	policy, ferr := s.Fault()
@@ -301,7 +303,7 @@ func (s RunSpec) Run(ctx context.Context, baseline float64, o Observers) (res me
 	}
 	o.FaultPolicy = policy
 	sc := s.Scenario().normalized()
-	eng, res, err := execute(ctx, sc, spec, cse, known(baseline), o, sc.Ticks)
+	eng, res, err := execute(ctx, sc, spec, cse, baseline, o, sc.Ticks)
 	if err != nil {
 		return metrics.Result{}, 0, err
 	}

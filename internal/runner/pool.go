@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -27,6 +28,7 @@ type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []func(context.Context) error
+	offers []*offer // waiting offers, taken oldest first when queue is empty
 	closed bool
 
 	running int // jobs currently inside a worker
@@ -67,6 +69,42 @@ func (p *Pool) Submit(fn func(ctx context.Context) error) error {
 	return nil
 }
 
+// offer is one Offer's job, held by pointer so that its withdraw finds it.
+type offer struct{ fn func(context.Context) error }
+
+// Offer gives fn to a worker that would otherwise sit idle: to one idle
+// now, for good, or else to the first worker that frees up with no
+// submitted job waiting. So a waiting offer never starts ahead of a
+// submitted job, and QueueLen does not count it. withdraw takes back an fn
+// that is still waiting; after withdraw or Close it never starts. A caller
+// that can do fn's work itself offers it, and withdraws it when it needs
+// the work done.
+func (p *Pool) Offer(fn func(ctx context.Context) error) (withdraw func()) {
+	o := &offer{fn: fn}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.closed:
+	case p.running+len(p.queue) < p.workers:
+		// Queue it for the idle worker, past withdrawing, so that the
+		// handover does not depend on how soon that worker is scheduled.
+		p.queue = append(p.queue, fn)
+		p.cond.Signal()
+	default:
+		p.offers = append(p.offers, o)
+	}
+	return func() {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for i, q := range p.offers {
+			if q == o {
+				p.offers = slices.Delete(p.offers, i, i+1)
+				return
+			}
+		}
+	}
+}
+
 // QueueLen reports jobs admitted but not yet started.
 func (p *Pool) QueueLen() int {
 	p.mu.Lock()
@@ -89,7 +127,7 @@ func (p *Pool) Close() {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
-		p.queue = nil
+		p.queue, p.offers = nil, nil
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
@@ -100,15 +138,25 @@ func (p *Pool) work() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for len(p.queue) == 0 && len(p.offers) == 0 && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		fn := p.queue[0]
-		p.queue = p.queue[1:]
+		var fn func(context.Context) error
+		if len(p.queue) > 0 {
+			fn = p.queue[0]
+			// Clear the slot: the backing array outlives the reslice, and a
+			// job's closure may hold what the job ran on (a daemon job's
+			// trace set) until append next reallocates it.
+			p.queue[0] = nil
+			p.queue = p.queue[1:]
+		} else {
+			fn = p.offers[0].fn
+			p.offers = slices.Delete(p.offers, 0, 1)
+		}
 		p.running++
 		p.mu.Unlock()
 

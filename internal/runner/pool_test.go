@@ -109,3 +109,63 @@ func TestPoolJobsSeeBaseContext(t *testing.T) {
 		t.Fatal("job never observed base-context cancellation")
 	}
 }
+
+// TestPoolOffer runs an offered job only on a worker that would otherwise
+// sit idle: at once, past withdrawing, while one is free, and otherwise when
+// a worker frees up with no submitted job waiting. A withdrawn offer and
+// one made after Close never run, and QueueLen counts no waiting offer.
+func TestPoolOffer(t *testing.T) {
+	p := NewPool(context.Background(), 1)
+	ran := make(chan string, 8)
+	release := make(chan struct{})
+	next := func() string {
+		select {
+		case name := <-ran:
+			return name
+		case <-time.After(10 * time.Second):
+			t.Fatal("no job ran")
+			return ""
+		}
+	}
+	job := func(name string) func(context.Context) error {
+		return func(context.Context) error {
+			ran <- name
+			if name == "busy" {
+				<-release
+			}
+			return nil
+		}
+	}
+	withdraw := p.Offer(job("idle"))
+	withdraw() // too late: the idle worker has it
+	if got := next(); got != "idle" {
+		t.Fatalf("ran %q, want the offer made to an idle pool", got)
+	}
+	if err := p.Submit(job("busy")); err != nil {
+		t.Fatal(err)
+	}
+	next()
+	p.Offer(job("offered"))
+	withdraw = p.Offer(job("withdrawn"))
+	withdraw()
+	if err := p.Submit(job("queued")); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.QueueLen(); n != 1 {
+		t.Fatalf("QueueLen %d with one job submitted and two offered, want 1", n)
+	}
+	close(release)
+	for _, want := range []string{"queued", "offered"} {
+		if got := next(); got != want {
+			t.Fatalf("ran %q, want %q: a submitted job starts before an offer", got, want)
+		}
+	}
+	p.Close()
+	p.Offer(job("closed"))
+	withdraw()
+	select {
+	case got := <-ran:
+		t.Fatalf("ran %q after the last expected job", got)
+	default:
+	}
+}

@@ -253,33 +253,32 @@ func (s *Server) run(jctx context.Context, j *Job) {
 	s.mu.Unlock()
 	defer cancel(nil)
 
-	var out Output
-	var err error
-	dedup := true
+	out, computed, err := lead(ctx, s.cache, j.key, func() (Output, error) {
+		s.setLeader(j, true)
+		defer s.setLeader(j, false)
+		return s.compute(ctx, j)
+	})
+	s.finish(j, out, err, ctx, !computed)
+}
+
+// lead reads key from a cache shared by every tenant, computing it when no
+// other caller is, and reports whether this call computed. A caller joined
+// on another tenant's in-flight computation that stopped (suspended,
+// cancelled, or shut down) while ctx is still live retries: it becomes the
+// new leader, or joins a newer one. So one tenant's cancellation never ends
+// another tenant's job. A real compute failure is deterministic — it would
+// fail for the caller too — so only cancellations are worth retrying.
+func lead[K comparable, V any](ctx context.Context, c *runner.Cache[K, V], key K, compute func() (V, error)) (v V, computed bool, err error) {
 	for {
-		computed := false
-		out, err = s.cache.GetCtx(ctx, j.key, func() (Output, error) {
+		computed = false
+		v, err = c.GetCtx(ctx, key, func() (V, error) {
 			computed = true
-			s.setLeader(j, true)
-			defer s.setLeader(j, false)
-			return s.compute(ctx, j)
+			return compute()
 		})
-		if computed {
-			dedup = false
-		}
-		if err == nil || ctx.Err() != nil || computed {
-			break
-		}
-		// We were joined on another tenant's in-flight computation and that
-		// leader stopped (suspended, cancelled, or shut down) while we are
-		// still live. Retry: we become the new leader, or join a newer one.
-		// A real compute failure is deterministic — it would fail for us
-		// too — so only cancellations are worth retrying.
-		if !isCancellation(err) {
-			break
+		if err == nil || computed || ctx.Err() != nil || !isCancellation(err) {
+			return v, computed, err
 		}
 	}
-	s.finish(j, out, err, ctx, dedup)
 }
 
 // isCancellation reports whether err is some run's cancellation rather than
@@ -294,7 +293,8 @@ func isCancellation(err error) bool {
 
 // compute is the cache-miss path: actually run the simulation, resuming
 // from the job's latest checkpoint when one exists. The job is one run
-// group: its baseline and managed run share one trace set.
+// group: its baseline and managed run share one trace set, and the run
+// reads the baseline only at finalize (see baseline).
 func (s *Server) compute(ctx context.Context, j *Job) (Output, error) {
 	ctx = experiments.ShareTraces(ctx)
 	o := experiments.Observers{
@@ -317,15 +317,41 @@ func (s *Server) compute(ctx context.Context, j *Job) (Output, error) {
 			}
 		}
 	}
-	sc := j.Spec.Scenario()
-	baseline, err := s.baselines.GetCtx(ctx, sc.BaselineKey(), func() (float64, error) {
-		return experiments.BaselinePower(ctx, sc)
-	})
-	if err != nil {
-		return Output{}, err
+	read, withdraw := s.baseline(ctx, j.Spec.Scenario())
+	defer withdraw() // a run that stops before finalize never reads it
+	var baselineW float64
+	res, _, err := j.Spec.Run(ctx, func() (w float64, err error) {
+		baselineW, err = read()
+		return baselineW, err
+	}, o)
+	return Output{Result: res, BaselineW: baselineW}, err
+}
+
+// baseline returns the read of the scenario's no-management baseline from
+// the server's cache, which every stack variant of the scenario shares, and
+// offers the baseline to the pool (runner.Pool.Offer): a worker that is
+// idle now, or that frees up while the job's managed run goes on and no
+// queued job is waiting, computes it beside the run. The read, at
+// finalize, withdraws the offer if it still waits, then waits for the
+// worker that took it or computes the baseline in line. So the server never
+// runs more than Workers simulations, and a baseline that waits for a
+// worker never starts ahead of a queued job. Both run under the job's ctx,
+// in its run group.
+func (s *Server) baseline(ctx context.Context, sc experiments.Scenario) (read func() (float64, error), withdraw func()) {
+	get := func() (float64, error) {
+		w, _, err := lead(ctx, s.baselines, sc.BaselineKey(), func() (float64, error) {
+			return experiments.BaselinePower(ctx, sc)
+		})
+		return w, err
 	}
-	res, _, err := j.Spec.Run(ctx, baseline, o)
-	return Output{Result: res, BaselineW: baseline}, err
+	withdraw = s.pool.Offer(func(context.Context) error {
+		_, _ = get()
+		return nil
+	})
+	return func() (float64, error) {
+		withdraw()
+		return get()
+	}, withdraw
 }
 
 // setLeader records (or clears) j as the job computing its cache key, so

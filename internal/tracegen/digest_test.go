@@ -17,8 +17,12 @@ import (
 )
 
 // digestFile pins BuildMix bit for bit: one "mix ticks seed sha256" line per
-// digestCases entry.
-var digestFile = filepath.Join("testdata", "buildmix_digests.txt")
+// digestCases entry. multiTierFile pins GenerateMultiTier the same way, one
+// "stacks ticks seed sha256" line per multiTierCases entry.
+var (
+	digestFile    = filepath.Join("testdata", "buildmix_digests.txt")
+	multiTierFile = filepath.Join("testdata", "multitier_digests.txt")
+)
 
 type digestCase struct {
 	mix   Mix
@@ -30,14 +34,16 @@ func (c digestCase) String() string { return fmt.Sprintf("%s %d %d", c.mix, c.ti
 
 // digestCases covers every mix family: the canonical mixes, the sized
 // blends (scale1 and hetero1 have empty tiers), and the AI-burst sizes, at
-// lengths below, at and past one synthetic day (TicksPerDay = 1000).
+// lengths below, at and past one synthetic day (TicksPerDay = 1000), and at
+// three whole days, where every day after the first reuses the first day's
+// diurnal wave.
 func digestCases() []digestCase {
 	mixes := []Mix{Mix180, Mix60L, Mix60M, Mix60H, Mix60HH, Mix60HHH, MixAIBurst, MixHetero,
 		ScaleMix(1), ScaleMix(2), ScaleMix(3), ScaleMix(100),
 		HeteroMix(1), HeteroMix(7), HeteroMix(25), AIBurstMix(1), AIBurstMix(5)}
 	var cases []digestCase
 	for _, m := range mixes {
-		for _, ticks := range []int{1, 100, 1000, 2500} {
+		for _, ticks := range []int{1, 100, 1000, 2500, 3000} {
 			for _, seed := range []int64{42, 7} {
 				cases = append(cases, digestCase{m, ticks, seed})
 			}
@@ -79,8 +85,10 @@ func buildDigest(c digestCase) (string, error) {
 	return mixDigest(set), nil
 }
 
-func readDigests(t *testing.T) map[string]string {
-	f, err := os.Open(digestFile)
+// readDigests reads a digest file into a map from each line's first three
+// fields to its digest.
+func readDigests(t *testing.T, path string) map[string]string {
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func readDigests(t *testing.T) map[string]string {
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) != 4 {
-			t.Fatalf("%s: malformed line %q", digestFile, sc.Text())
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
 		}
 		want[strings.Join(fields[:3], " ")] = fields[3]
 	}
@@ -102,10 +110,11 @@ func readDigests(t *testing.T) map[string]string {
 
 // TestBuildMixDigest holds every sample, name and class of every mix family
 // to the digests recorded before synthesis was restructured (arena, day
-// table, concurrent tiers), so a change to how traces are generated cannot
+// table, concurrent tiers; the 3000-tick rows before the diurnal wave was
+// shared across days), so a change to how traces are generated cannot
 // change what is generated.
 func TestBuildMixDigest(t *testing.T) {
-	want := readDigests(t)
+	want := readDigests(t, digestFile)
 	cases := digestCases()
 	if len(want) != len(cases) {
 		t.Errorf("%s has %d digests, want %d", digestFile, len(want), len(cases))
@@ -121,6 +130,55 @@ func TestBuildMixDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != w {
+			t.Errorf("%s: digest %s, recorded %s", c, got, w)
+		}
+	}
+}
+
+// multiTierCase is one GenerateMultiTier call with the default tiers.
+type multiTierCase struct {
+	stacks, ticks int
+	seed          int64
+}
+
+func (c multiTierCase) String() string { return fmt.Sprintf("%d %d %d", c.stacks, c.ticks, c.seed) }
+
+// multiTierCases covers one, a few and ten stacks (the multi-tier example's
+// corpus) at lengths below, at and past one synthetic day and at three
+// whole days.
+func multiTierCases() []multiTierCase {
+	var cases []multiTierCase
+	for _, stacks := range []int{1, 3, 10} {
+		for _, ticks := range []int{1, 999, 1000, 2500, 3000} {
+			for _, seed := range []int64{11, 17} {
+				cases = append(cases, multiTierCase{stacks, ticks, seed})
+			}
+		}
+	}
+	return cases
+}
+
+// TestGenerateMultiTierDigest holds every sample, name and class of the
+// multi-tier generator to the digests recorded before the diurnal wave was
+// shared across days: it draws its request signal through fill, as BuildMix
+// does, but from its own call.
+func TestGenerateMultiTierDigest(t *testing.T) {
+	want := readDigests(t, multiTierFile)
+	cases := multiTierCases()
+	if len(want) != len(cases) {
+		t.Errorf("%s has %d digests, want %d", multiTierFile, len(want), len(cases))
+	}
+	for _, c := range cases {
+		w, ok := want[c.String()]
+		if !ok {
+			t.Errorf("%s: no recorded digest", c)
+			continue
+		}
+		set, err := GenerateMultiTier(c.stacks, nil, Params{Ticks: c.ticks, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mixDigest(set); got != w {
 			t.Errorf("%s: digest %s, recorded %s", c, got, w)
 		}
 	}

@@ -67,8 +67,9 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 	}
 	day := newDayTable(p.Ticks, p.TicksPerDay)
 	requests := make([]float64, p.Ticks)
+	wave := make([]float64, len(day.pos))
 	for s := 0; s < stacks; s++ {
-		fill(requests, base, p.Level, day, rng)
+		fill(requests, wave, base, p.Level, day, rng)
 		for _, tier := range tiers {
 			tr := &trace.Trace{
 				Name:   fmt.Sprintf("stack%02d-%s", s, tier.Name),

@@ -137,6 +137,7 @@ func generate(dst []*trace.Trace, first int, p Params) error {
 	classes := Classes()
 	day := newDayTable(p.Ticks, p.TicksPerDay)
 	traces := newTraces(len(dst), p.Ticks)
+	wave := make([]float64, len(day.pos))
 	var part []float64
 	if stack > 1 {
 		part = make([]float64, p.Ticks)
@@ -147,13 +148,13 @@ func generate(dst []*trace.Trace, first int, p Params) error {
 		tr.Name = traceName(cls.Name, first+i)
 		tr.Class = cls.Name
 		if stack == 1 {
-			fill(tr.Demand, cls, p.Level, day, rng)
+			fill(tr.Demand, wave, cls, p.Level, day, rng)
 		} else {
 			// The paper's stacking construction (60HH stacks two traces,
 			// 60HHH three; §4.3): each independently drawn part added in
 			// turn to a zeroed sum.
 			for s := 0; s < stack; s++ {
-				fill(part, cls, p.Level, day, rng)
+				fill(part, wave, cls, p.Level, day, rng)
 				for k, d := range part {
 					tr.Demand[k] += d
 				}
@@ -211,29 +212,35 @@ func newDayTable(ticks, perDay int) dayTable {
 }
 
 // fill synthesizes one trace into dst: base + diurnal + AR(1) noise +
-// bursts, scaled by level and clamped to be non-negative.
-func fill(dst []float64, cls Class, level float64, day dayTable, rng *rand.Rand) {
+// bursts, scaled by level and clamped to be non-negative. The diurnal term
+// depends on the tick only through its position in the day, so fill
+// computes it once per position of the first day into wave (scratch of
+// len(day.pos)) and every later day reads it back.
+func fill(dst, wave []float64, cls Class, level float64, day dayTable, rng *rand.Rand) {
 	// Each conversion rounds, so no GOARCH fuses the source's scaling or
 	// this product into a multiply-add (internal/tracegen is in FMA_PKGS).
 	u := float64(rng.Float64())
 	phase := float64(u * 2 * math.Pi)
 	halfAmp := cls.DiurnalAmp * 0.5
+	for j, pos := range day.pos {
+		if cls.BusinessHours {
+			// Plateau between ~08:00 and ~18:00 of the synthetic day.
+			wave[j] = 0
+			if pos > 0.33 && pos < 0.75 {
+				wave[j] = cls.DiurnalAmp
+			}
+		} else {
+			wave[j] = halfAmp * (1 + math.Sin(day.angle[j]+phase))
+		}
+	}
 	// The AR(1) innovation scale that keeps the noise's std-dev at sigma.
 	innov := math.Sqrt(1 - float64(cls.NoisePhi*cls.NoisePhi))
 	ar := 0.0
 	burstLeft := 0
 	j := 0 // k % TicksPerDay
 	for k := range dst {
-		var diurnal float64
-		if cls.BusinessHours {
-			// Plateau between ~08:00 and ~18:00 of the synthetic day.
-			if pos := day.pos[j]; pos > 0.33 && pos < 0.75 {
-				diurnal = cls.DiurnalAmp
-			}
-		} else {
-			diurnal = halfAmp * (1 + math.Sin(day.angle[j]+phase))
-		}
-		if j++; j == len(day.pos) {
+		diurnal := wave[j]
+		if j++; j == len(wave) {
 			j = 0
 		}
 		ar = float64(cls.NoisePhi*ar) + float64(rng.NormFloat64()*cls.NoiseSigma*innov)

@@ -52,8 +52,9 @@ bench-serve:
 # x*y + z into one multiply-add with a single rounding on arm64, ppc64le,
 # s390x and riscv64 (never on amd64); an explicit float64(x*y) prevents it.
 # The list grows as more packages are made fusion-free.
-FMA_PKGS  = ./internal/binpack ./internal/controllers/budget ./internal/controllers/vmc \
-	./internal/platform ./internal/policy ./internal/tracegen
+FMA_PKGS  = ./internal/binpack ./internal/cluster ./internal/controllers/budget \
+	./internal/controllers/vmc ./internal/platform ./internal/policy ./internal/trace \
+	./internal/tracegen
 FMA_ARCHS = arm64 ppc64le s390x riscv64
 
 # lint enforces the columnar store's API boundary: the per-server struct

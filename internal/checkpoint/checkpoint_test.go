@@ -31,7 +31,7 @@ func buildEngine(t *testing.T, warmTicks int) *sim.Engine {
 		for k := range d {
 			d[k] = 0.4
 		}
-		set.Traces = append(set.Traces, &trace.Trace{Name: "w", Class: "flat", Demand: d})
+		set.Traces = append(set.Traces, trace.New("w", "flat", d))
 	}
 	cl, err := cluster.New(cfg, set)
 	if err != nil {

@@ -825,9 +825,11 @@ func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 			}
 			continue
 		}
+		// Each product is rounded before its add (here and in the delivered
+		// sum below), so no GOARCH fuses the two (cluster is in FMA_PKGS).
 		fD := 0.0
 		for _, vmID := range hosted {
-			fD += row[vmID] * overhead
+			fD += float64(row[vmID] * overhead)
 		}
 		if dirty[sid] || fD != lastFD[sid] {
 			m := models[sid]
@@ -893,7 +895,7 @@ func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 			for _, vmID := range hosted {
 				d := row[vmID]
 				p.demand += d
-				p.delivered += d * served
+				p.delivered += float64(d * served)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ func flat(name string, n int, level float64) *trace.Trace {
 	for i := range d {
 		d[i] = level
 	}
-	return &trace.Trace{Name: name, Class: "flat", Demand: d}
+	return trace.New(name, "flat", d)
 }
 
 func smallCfg() Config {
@@ -397,8 +397,8 @@ func TestStatsNeverStale(t *testing.T) {
 func demandBits(traces []*trace.Trace) [][]uint64 {
 	out := make([][]uint64, len(traces))
 	for i, tr := range traces {
-		for _, d := range tr.Demand {
-			out[i] = append(out[i], math.Float64bits(d))
+		for k := 0; k < tr.Len(); k++ {
+			out[i] = append(out[i], math.Float64bits(tr.At(k)))
 		}
 	}
 	return out
@@ -419,7 +419,9 @@ func vmTraces(c *Cluster) []*trace.Trace {
 // copy, so the set and the sibling's demand keep every bit.
 func TestSharedTracesNeverWritten(t *testing.T) {
 	set := smallSet(6, 0.3)
-	set.Traces[2].Demand[7] = 0.45
+	d := set.Traces[2].AppendSamples(nil)
+	d[7] = 0.45
+	set.Traces[2] = trace.New(set.Traces[2].Name, set.Traces[2].Class, d)
 	want := demandBits(set.Traces)
 	a, b := mustNew(t, smallCfg(), set), mustNew(t, smallCfg(), set)
 	same := func(what string, got [][]uint64) {
@@ -442,8 +444,8 @@ func TestSharedTracesNeverWritten(t *testing.T) {
 			t.Fatalf("ScaleDemand on one cluster touched trace %d of the set or its sibling", i)
 		}
 	}
-	if got := a.VMs[2].Trace; !got.Mutated || got.Demand[7] != 0.45*1.5 {
-		t.Fatalf("scaled cluster's trace 2: mutated %v, demand %v, want %v", got.Mutated, got.Demand[7], 0.45*1.5)
+	if got := a.VMs[2].Trace; !got.Mutated || got.At(7) != 0.45*1.5 {
+		t.Fatalf("scaled cluster's trace 2: mutated %v, demand %v, want %v", got.Mutated, got.At(7), 0.45*1.5)
 	}
 	scaled := demandBits(vmTraces(a))
 
@@ -460,7 +462,7 @@ func TestSharedTracesNeverWritten(t *testing.T) {
 	if got := demandBits(vmTraces(a)); got[1][0] != scaled[1][0] {
 		t.Fatal("RestoreState on one cluster changed its sibling's demand")
 	}
-	if got := b.VMs[1].Trace; !got.Mutated || got.Demand[0] != 0.9 || got == set.Traces[1] {
+	if got := b.VMs[1].Trace; !got.Mutated || got.At(0) != 0.9 || got == set.Traces[1] {
 		t.Fatalf("restored demand not installed as a private copy: %+v", got)
 	}
 	// A snapshot without demand puts the construction trace back.

@@ -37,7 +37,7 @@ func TestAdvanceWithMatchesSerial(t *testing.T) {
 			for k := range d {
 				d[k] = 0.1 + 0.8*math.Abs(math.Sin(float64(i*7+k*13)))
 			}
-			set.Traces = append(set.Traces, &trace.Trace{Name: "w", Class: "sin", Demand: d})
+			set.Traces = append(set.Traces, trace.New("w", "sin", d))
 		}
 		return mustNew(t, Config{
 			Enclosures: 3, BladesPerEnclosure: 20, Standalone: servers - 60,

@@ -117,7 +117,7 @@ func (c *Cluster) State() State {
 		vm := &c.VMs[i]
 		st.VMs[i] = VMState{Server: vm.Server, MigratingUntil: vm.MigratingUntil}
 		if vm.Trace.Mutated {
-			st.VMs[i].Demand = append([]float64(nil), vm.Trace.Demand...)
+			st.VMs[i].Demand = vm.Trace.AppendSamples(nil)
 		}
 	}
 	return st
@@ -196,8 +196,8 @@ func (c *Cluster) RestoreState(st State) error {
 			c.migHigh = vm.MigratingUntil
 		}
 		if vs.Demand != nil {
-			vm.Trace = &trace.Trace{Name: vm.Trace.Name, Class: vm.Trace.Class,
-				Demand: append([]float64(nil), vs.Demand...), Mutated: true}
+			vm.Trace = trace.New(vm.Trace.Name, vm.Trace.Class, append([]float64(nil), vs.Demand...))
+			vm.Trace.Mutated = true
 		} else {
 			vm.Trace = c.workloads.Traces[i]
 		}

@@ -63,11 +63,12 @@ type Controller struct {
 	violations int
 	epochs     int
 	tracer     obs.Tracer
-	// One division's children as the policy sees them and the registers
-	// their shares go to, reused per division so the hot loop allocates
-	// nothing.
+	// One division's children as the policy sees them, the registers their
+	// shares go to and the shares, reused per division so the hot loop
+	// allocates nothing.
 	children []policy.Child
 	sinks    []sink
+	shares   []float64
 }
 
 // parent is what a division needs of the parent besides its children: its
@@ -173,13 +174,13 @@ func (c *Controller) divide(k int, cl *cluster.Cluster, p parent) {
 	if c.Mode == Coordinated && p.rec < budget {
 		budget = p.rec // min(CAP_parent, recommendation from above)
 	}
-	shares := c.Policy.Divide(budget, c.children)
+	c.shares = c.Policy.Divide(c.shares, budget, c.children)
 	reason := "min-rule-share"
 	if c.Mode == Uncoordinated {
 		reason = "raw-share" // no min: overwrite whatever the child had
 	}
 	for i, s := range c.sinks {
-		rec := shares[i]
+		rec := c.shares[i]
 		if c.Mode == Coordinated && rec > s.static {
 			rec = s.static // min(CAP_child, share)
 		}

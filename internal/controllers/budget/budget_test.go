@@ -355,15 +355,16 @@ func dynSum(cl *cluster.Cluster) float64 {
 }
 
 // recorder is a division policy that keeps what each Divide was handed and
-// returned.
+// returned. It forwards the caller's buffer, so the wrapped policy divides
+// into the controller's reused shares as it does in production.
 type recorder struct {
 	policy.Division
 	totals []float64
 	shares [][]float64
 }
 
-func (r *recorder) Divide(total float64, children []policy.Child) []float64 {
-	s := r.Division.Divide(total, children)
+func (r *recorder) Divide(dst []float64, total float64, children []policy.Child) []float64 {
+	s := r.Division.Divide(dst, total, children)
 	r.totals = append(r.totals, total)
 	r.shares = append(r.shares, append([]float64(nil), s...))
 	return s
@@ -452,5 +453,22 @@ func checkContract(t *testing.T, at string, c *Controller, cl *cluster.Cluster, 
 		if cl.DynCap(i) > cl.StaticCap(i) {
 			t.Errorf("%s: server %d dyn cap %v above static %v", at, i, cl.DynCap(i), cl.StaticCap(i))
 		}
+	}
+}
+
+// An EM epoch divides once per enclosure into the controller's own buffers,
+// so what it allocates does not grow with the enclosure count.
+func TestEMEpochAllocationsFlat(t *testing.T) {
+	allocs := func(enclosures int) float64 {
+		cl := advanced(t, enclosures, 6, 0, 0.4)
+		c, err := New(EM, Coordinated, nil, periods[EM])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Tick(0, cl) // sizes the buffers
+		return testing.AllocsPerRun(20, func() { c.Tick(0, cl) })
+	}
+	if small, large := allocs(2), allocs(40); large > small {
+		t.Errorf("an EM epoch makes %v allocations at 2 enclosures and %v at 40", small, large)
 	}
 }

@@ -17,7 +17,7 @@ func testCluster(t *testing.T, n int, level float64) *cluster.Cluster {
 		for k := range d {
 			d[k] = level
 		}
-		set.Traces = append(set.Traces, &trace.Trace{Name: "w", Class: "flat", Demand: d})
+		set.Traces = append(set.Traces, trace.New("w", "flat", d))
 	}
 	cl, err := cluster.New(cluster.Config{
 		Standalone: n, Model: model.BladeA(),

@@ -23,7 +23,7 @@ func ExampleBuild() {
 		for k := range d {
 			d[k] = 0.2
 		}
-		set.Traces = append(set.Traces, &trace.Trace{Name: "w", Class: "flat", Demand: d})
+		set.Traces = append(set.Traces, trace.New("w", "flat", d))
 	}
 	cl, _ := cluster.New(cluster.Config{
 		Standalone: 4, Model: model.BladeA(),

@@ -158,12 +158,12 @@ func TestScenarioWithProvidedTraces(t *testing.T) {
 	// The cluster reads the caller's set and never writes it: a runtime
 	// demand change lands on the cluster's own copy and leaves the input
 	// alone.
-	want := set.Traces[0].Demand[0]
+	want := set.Traces[0].At(0)
 	cl.ScaleDemand(2)
-	if got := set.Traces[0].Demand[0]; got != want || set.Traces[0].Mutated {
+	if got := set.Traces[0].At(0); got != want || set.Traces[0].Mutated {
 		t.Errorf("ScaleDemand wrote the provided set: demand %v, was %v", got, want)
 	}
-	if got := cl.VMs[0].Trace.Demand[0]; got != 2*want {
+	if got := cl.VMs[0].Trace.At(0); got != 2*want {
 		t.Errorf("cluster demand %v after ScaleDemand(2), want %v", got, 2*want)
 	}
 }

@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
+
+	"nopower/internal/cluster"
+	"nopower/internal/core"
+	"nopower/internal/sim"
 )
 
 // TestFacilityIdentity holds the facility loop to the determinism contract
@@ -58,5 +63,38 @@ func TestFacilityCoordinationReducesFeedViolations(t *testing.T) {
 	if coord.FeedViolations >= uncoord.FeedViolations {
 		t.Errorf("coordinated feed violations %d not below uncoordinated %d",
 			coord.FeedViolations, uncoord.FeedViolations)
+	}
+}
+
+// A demand surge on the facility scenario gives every VM a private scaled
+// copy of its AI-burst trace, which until then read the set's one shared
+// schedule. Checkpoints taken after it must carry those copies, so the
+// sharded run and every kill-and-resume run reproduce the uninterrupted
+// run bitwise.
+func TestFacilityDemandSurgeResumes(t *testing.T) {
+	sc := facilityScenario(Options{Ticks: 240}.normalized())
+	surge := ChaosCase{Name: "surge", Events: func(ticks int, seed int64) []sim.Event {
+		return []sim.Event{sim.ScaleDemand(ticks/4, 1.2), sim.ScaleDemand(ticks/2+7, 0.9)}
+	}}
+	mutated := false
+	rep, err := CheckIdentity(context.Background(), sc, facilitySpec(core.Coordinated()), surge, 0,
+		Observers{OnTick: func(k int, cl *cluster.Cluster) { mutated = cl.VMs[0].Trace.Mutated }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mutated {
+		t.Fatal("the surge never reached the cluster's traces")
+	}
+	resumed := 0
+	for _, v := range rep.Variants {
+		if strings.HasPrefix(v.Name, "resume@") {
+			resumed++
+		}
+	}
+	if resumed == 0 {
+		t.Fatalf("variants %q, want a kill-and-resume run", rep.VariantNames())
+	}
+	if err := rep.Err(); err != nil {
+		t.Error(err)
 	}
 }

@@ -58,9 +58,7 @@ func runFailover(ctx context.Context, name string, spec core.Spec, opts Options)
 	for i := range demand {
 		demand[i] = 1.05 // sustained saturating load
 	}
-	set := &trace.Set{Name: "hot", Traces: []*trace.Trace{
-		{Name: "load", Class: "synthetic", Demand: demand},
-	}}
+	set := &trace.Set{Name: "hot", Traces: []*trace.Trace{trace.New("load", "synthetic", demand)}}
 	cl, err := cluster.New(cluster.Config{
 		Standalone: 1,
 		Model:      model.BladeA(),

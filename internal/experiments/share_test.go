@@ -30,14 +30,14 @@ func groupSet(t *testing.T, ctx context.Context, sc Scenario) *trace.Set {
 	return set
 }
 
-// firstDemand runs (sc, spec) in ctx and returns the address of the first
-// demand sample its cluster read — the backing array it got.
-func firstDemand(t *testing.T, ctx context.Context, sc Scenario, spec core.Spec) *float64 {
+// firstTrace runs (sc, spec) in ctx and returns the first VM's trace as
+// its cluster read it at tick 0 — the set it got.
+func firstTrace(t *testing.T, ctx context.Context, sc Scenario, spec core.Spec) *trace.Trace {
 	t.Helper()
-	var p *float64
+	var p *trace.Trace
 	o := Observers{OnTick: func(k int, cl *cluster.Cluster) {
 		if k == 0 {
-			p = &cl.VMs[0].Trace.Demand[0]
+			p = cl.VMs[0].Trace
 		}
 	}}
 	sc = sc.normalized()
@@ -61,9 +61,9 @@ func TestRunGroupSharesOneSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := groupSet(t, ctx, sc)
-	shared := &set.Traces[0].Demand[0]
+	shared := set.Traces[0]
 	for i := 0; i < 2; i++ {
-		if firstDemand(t, ctx, sc, core.Coordinated()) != shared {
+		if firstTrace(t, ctx, sc, core.Coordinated()) != shared {
 			t.Fatalf("managed run %d did not read the baseline's set", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestRunGroupSharesOneSet(t *testing.T) {
 		{"ticks", variant(func(v *Scenario) { v.Ticks = 61 }), core.Coordinated(), false},
 		{"seed", variant(func(v *Scenario) { v.Seed = 4 }), core.Coordinated(), false},
 	} {
-		if got := firstDemand(t, ctx, c.sc, c.spec) == shared; got != c.share {
+		if got := firstTrace(t, ctx, c.sc, c.spec) == shared; got != c.share {
 			t.Errorf("%s: shares the set = %v, want %v", c.name, got, c.share)
 		}
 	}
@@ -95,19 +95,29 @@ func TestRunGroupSharesOneSet(t *testing.T) {
 		t.Errorf("the group holds %d sets, want 4 (the base and the mix, ticks and seed variants)", g.Len())
 	}
 	// Outside any group every build synthesizes afresh.
-	if firstDemand(t, context.Background(), sc, core.Coordinated()) == shared {
+	if firstTrace(t, context.Background(), sc, core.Coordinated()) == shared {
 		t.Error("a run outside the group read the group's set")
 	}
 }
 
 // TestSharedSetConcurrentRuns runs two engines at once over one group's
 // set, one of them rescaling its demand mid-run (the golden case's
-// ScaleDemand event). A write through the shared set would race — `make
-// race` runs this ten times under the detector — and would show here as a
-// changed set or a run that no longer matches the same run made alone.
+// ScaleDemand event), on the golden 60L mix and on the AI-burst mix, whose
+// traces read one shared schedule. A write through the shared set would
+// race — `make race` runs this ten times under the detector — and would
+// show here as a changed set or a run that no longer matches the same run
+// made alone.
 func TestSharedSetConcurrentRuns(t *testing.T) {
+	golden := goldenScenario().normalized()
+	aiburst := golden
+	aiburst.Mix = tracegen.MixAIBurst
+	for _, sc := range []Scenario{golden, aiburst} {
+		t.Run(string(sc.Mix), func(t *testing.T) { sharedSetConcurrentRuns(t, sc) })
+	}
+}
+
+func sharedSetConcurrentRuns(t *testing.T, sc Scenario) {
 	ctx := ShareTraces(context.Background())
-	sc := goldenScenario().normalized()
 	spec := core.Coordinated()
 	cases := []ChaosCase{goldenCase(), {}}
 	run := func(ctx context.Context, cse ChaosCase) (metrics.Result, error) {
@@ -142,9 +152,9 @@ func TestSharedSetConcurrentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tr := range groupSet(t, ctx, sc).Traces {
-		for k, d := range tr.Demand {
-			if math.Float64bits(d) != math.Float64bits(fresh.Traces[i].Demand[k]) || tr.Mutated {
-				t.Fatalf("shared trace %d changed at tick %d: %v, synthesized %v", i, k, d, fresh.Traces[i].Demand[k])
+		for k := 0; k < tr.Len(); k++ {
+			if d := tr.At(k); math.Float64bits(d) != math.Float64bits(fresh.Traces[i].At(k)) || tr.Mutated {
+				t.Fatalf("shared trace %d changed at tick %d: %v, synthesized %v", i, k, d, fresh.Traces[i].At(k))
 			}
 		}
 	}

@@ -225,10 +225,12 @@ func (s RunSpec) Labels() map[string]string {
 // samples, bit for bit.
 func traceDigest(set *trace.Set) string {
 	h := sha256.New()
+	var samples []float64
 	for _, tr := range set.Traces {
+		samples = tr.AppendSamples(samples[:0])
 		// Writes to a hash never fail.
-		_ = binary.Write(h, binary.LittleEndian, int64(len(tr.Demand)))
-		_ = binary.Write(h, binary.LittleEndian, tr.Demand)
+		_ = binary.Write(h, binary.LittleEndian, int64(len(samples)))
+		_ = binary.Write(h, binary.LittleEndian, samples)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

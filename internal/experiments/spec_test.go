@@ -32,7 +32,7 @@ func TestRunSpecLabels(t *testing.T) {
 	}
 
 	set := func(v float64) *trace.Set {
-		return &trace.Set{Traces: []*trace.Trace{{Name: "w", Demand: []float64{0.1, v}}}}
+		return &trace.Set{Traces: []*trace.Trace{trace.New("w", "", []float64{0.1, v})}}
 	}
 	a, b := RunSpec{Traces: set(0.2)}.Labels(), RunSpec{Traces: set(0.3)}.Labels()
 	if a["traces"] == "" || a["traces"] == b["traces"] {

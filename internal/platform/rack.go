@@ -39,6 +39,11 @@ type Rack struct {
 	StaticLocal float64
 	// Workloads are the hosted demands.
 	Workloads []RackWorkload
+
+	// The rack manager's division buffers, its children as the policy sees
+	// them and their shares, reused every epoch.
+	children []policy.Child
+	shares   []float64
 }
 
 // NewRack builds n Standard platforms with one workload each, drawn from
@@ -152,11 +157,12 @@ func (r *Rack) Run(ticks, rackPeriod int) (RackResult, error) {
 // observed draw (policy.Proportional) and installs min(static, share) as
 // each platform controller's budget — the GM→SM pattern one level down.
 func (r *Rack) reprovision(lastPower []float64) {
-	children := make([]policy.Child, len(r.Platforms))
+	r.children = r.children[:0]
 	for i, p := range r.Platforms {
-		children[i] = policy.Child{ID: i, Power: lastPower[i], MaxPower: p.MaxPower()}
+		r.children = append(r.children, policy.Child{ID: i, Power: lastPower[i], MaxPower: p.MaxPower()})
 	}
-	for i, share := range (policy.Proportional{}).Divide(r.StaticBudget, children) {
+	r.shares = policy.Proportional{}.Divide(r.shares, r.StaticBudget, r.children)
+	for i, share := range r.shares {
 		if share > r.StaticLocal {
 			share = r.StaticLocal
 		}

@@ -57,6 +57,23 @@ func TestRackHoldsBudgets(t *testing.T) {
 	}
 }
 
+// The rack manager divides into its own buffers, so an epoch after the
+// first allocates nothing.
+func TestRackEpochAllocatesNothing(t *testing.T) {
+	r, err := NewRack(8, 50, 1, 1, 0.2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastPower := make([]float64, len(r.Platforms))
+	for i := range lastPower {
+		lastPower[i] = 10 * float64(i+1)
+	}
+	r.reprovision(lastPower) // sizes the buffers
+	if n := testing.AllocsPerRun(20, func() { r.reprovision(lastPower) }); n != 0 {
+		t.Errorf("a rack epoch makes %v allocations", n)
+	}
+}
+
 func TestRackServesLightLoadFully(t *testing.T) {
 	r, err := NewRack(4, 300, 5, 0.5, 0.2, 0.1)
 	if err != nil {

@@ -35,10 +35,24 @@ type Child struct {
 type Division interface {
 	// Name identifies the policy for reports and flags.
 	Name() string
-	// Divide computes the per-child budget recommendations. The children
-	// slice is valid only for the duration of the call — controllers pool
-	// and reuse it across epochs — so implementations must not retain it.
-	Divide(total float64, children []Child) []float64
+	// Divide computes the per-child budget recommendations into dst,
+	// resized to len(children) and reallocated only when its capacity is
+	// short, and returns dst's new extent (or the new array). A controller
+	// dividing every epoch passes back what the last call returned, so it
+	// allocates no shares after the first; nil asks for a fresh slice. The
+	// children slice is valid only for the duration of the call —
+	// controllers pool and reuse it across epochs — so implementations
+	// must not retain it.
+	Divide(dst []float64, total float64, children []Child) []float64
+}
+
+// resize returns dst with length n, reallocated only when its capacity is
+// short.
+func resize(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	return dst[:n]
 }
 
 // Stateful is implemented by division policies that accumulate state across
@@ -65,9 +79,10 @@ type Proportional struct{}
 // Name implements Division.
 func (Proportional) Name() string { return "proportional" }
 
-// Divide implements Division.
-func (Proportional) Divide(total float64, children []Child) []float64 {
-	weights := make([]float64, len(children))
+// Divide implements Division: the weights go into dst, and each becomes its
+// share in place.
+func (Proportional) Divide(dst []float64, total float64, children []Child) []float64 {
+	weights := resize(dst, len(children))
 	sum := 0.0
 	for i, c := range children {
 		w := c.Power
@@ -87,8 +102,8 @@ type FairShare struct{}
 func (FairShare) Name() string { return "fairshare" }
 
 // Divide implements Division.
-func (FairShare) Divide(total float64, children []Child) []float64 {
-	out := make([]float64, len(children))
+func (FairShare) Divide(dst []float64, total float64, children []Child) []float64 {
+	out := resize(dst, len(children))
 	if len(children) == 0 {
 		return out
 	}
@@ -107,7 +122,7 @@ type FIFO struct{}
 func (FIFO) Name() string { return "fifo" }
 
 // Divide implements Division.
-func (FIFO) Divide(total float64, children []Child) []float64 {
+func (FIFO) Divide(dst []float64, total float64, children []Child) []float64 {
 	order := make([]int, len(children))
 	for i := range order {
 		order[i] = i
@@ -115,7 +130,7 @@ func (FIFO) Divide(total float64, children []Child) []float64 {
 	sort.Slice(order, func(a, b int) bool {
 		return children[order[a]].ID < children[order[b]].ID
 	})
-	return fill(total, children, order)
+	return fill(dst, total, children, order)
 }
 
 // Random fills children in a seeded random order each epoch.
@@ -129,7 +144,7 @@ type Random struct {
 func (Random) Name() string { return "random" }
 
 // Divide implements Division.
-func (r Random) Divide(total float64, children []Child) []float64 {
+func (r Random) Divide(dst []float64, total float64, children []Child) []float64 {
 	order := make([]int, len(children))
 	for i := range order {
 		order[i] = i
@@ -137,7 +152,7 @@ func (r Random) Divide(total float64, children []Child) []float64 {
 	if r.Rng != nil {
 		r.Rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 	}
-	return fill(total, children, order)
+	return fill(dst, total, children, order)
 }
 
 // Priority fills children in descending Priority (ties by ID).
@@ -147,7 +162,7 @@ type Priority struct{}
 func (Priority) Name() string { return "priority" }
 
 // Divide implements Division.
-func (Priority) Divide(total float64, children []Child) []float64 {
+func (Priority) Divide(dst []float64, total float64, children []Child) []float64 {
 	order := make([]int, len(children))
 	for i := range order {
 		order[i] = i
@@ -159,7 +174,7 @@ func (Priority) Divide(total float64, children []Child) []float64 {
 		}
 		return ca.ID < cb.ID
 	})
-	return fill(total, children, order)
+	return fill(dst, total, children, order)
 }
 
 // History shares proportionally to an exponentially-weighted moving average
@@ -174,8 +189,9 @@ type History struct {
 // Name implements Division.
 func (*History) Name() string { return "history" }
 
-// Divide implements Division.
-func (h *History) Divide(total float64, children []Child) []float64 {
+// Divide implements Division: the weights go into dst, and each becomes its
+// share in place.
+func (h *History) Divide(dst []float64, total float64, children []Child) []float64 {
 	alpha := h.Alpha
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.3
@@ -183,7 +199,7 @@ func (h *History) Divide(total float64, children []Child) []float64 {
 	if h.ewma == nil {
 		h.ewma = make(map[int]float64)
 	}
-	weights := make([]float64, len(children))
+	weights := resize(dst, len(children))
 	sum := 0.0
 	for i, c := range children {
 		prev, ok := h.ewma[c.ID]
@@ -236,22 +252,25 @@ func (h *History) RestorePolicyState(data []byte) error {
 	return nil
 }
 
-// byWeight distributes total proportionally to weights (all shares are
-// non-negative and sum to exactly total when sum > 0).
+// byWeight turns weights into the shares of total proportional to them, in
+// place (all shares are non-negative and sum to exactly total when
+// sum > 0), and returns them.
 func byWeight(total float64, weights []float64, sum float64) []float64 {
-	out := make([]float64, len(weights))
 	if sum <= 0 || total <= 0 {
-		return out
+		clear(weights)
+		return weights
 	}
 	for i, w := range weights {
-		out[i] = total * w / sum
+		weights[i] = total * w / sum
 	}
-	return out
+	return weights
 }
 
-// fill grants MaxPower in the given order until the budget runs out.
-func fill(total float64, children []Child, order []int) []float64 {
-	out := make([]float64, len(children))
+// fill grants MaxPower in the given order until the budget runs out, into
+// dst resized to len(children).
+func fill(dst []float64, total float64, children []Child, order []int) []float64 {
+	out := resize(dst, len(children))
+	clear(out)
 	remaining := total
 	for _, idx := range order {
 		if remaining <= 0 {

@@ -26,7 +26,7 @@ func allPolicies() []Division {
 func TestAllPoliciesRespectBudget(t *testing.T) {
 	for _, p := range allPolicies() {
 		for _, total := range []float64{0, 50, 175, 10000} {
-			shares := p.Divide(total, kids())
+			shares := p.Divide(nil, total, kids())
 			if len(shares) != 3 {
 				t.Fatalf("%s: %d shares", p.Name(), len(shares))
 			}
@@ -46,14 +46,14 @@ func TestAllPoliciesRespectBudget(t *testing.T) {
 
 func TestAllPoliciesHandleEmpty(t *testing.T) {
 	for _, p := range allPolicies() {
-		if got := p.Divide(100, nil); len(got) != 0 {
+		if got := p.Divide(nil, 100, nil); len(got) != 0 {
 			t.Errorf("%s: empty children gave %v", p.Name(), got)
 		}
 	}
 }
 
 func TestProportionalShares(t *testing.T) {
-	shares := Proportional{}.Divide(175, kids())
+	shares := Proportional{}.Divide(nil, 175, kids())
 	// Weights 50:100:25 -> shares 50:100:25 exactly (total equals sum).
 	want := []float64{50, 100, 25}
 	for i, w := range want {
@@ -68,7 +68,7 @@ func TestProportionalFloorsIdleChildren(t *testing.T) {
 		{ID: 0, Power: 0, MaxPower: 100}, // just powered on
 		{ID: 1, Power: 95, MaxPower: 100},
 	}
-	shares := Proportional{}.Divide(100, children)
+	shares := Proportional{}.Divide(nil, 100, children)
 	if shares[0] <= 0 {
 		t.Errorf("idle child starved: share %v", shares[0])
 	}
@@ -78,7 +78,7 @@ func TestProportionalFloorsIdleChildren(t *testing.T) {
 }
 
 func TestFairShareEqual(t *testing.T) {
-	shares := FairShare{}.Divide(90, kids())
+	shares := FairShare{}.Divide(nil, 90, kids())
 	for i, s := range shares {
 		if math.Abs(s-30) > 1e-12 {
 			t.Errorf("share[%d] = %v, want 30", i, s)
@@ -91,7 +91,7 @@ func TestFIFOFillsInIDOrder(t *testing.T) {
 	children := []Child{
 		{ID: 2, MaxPower: 100}, {ID: 0, MaxPower: 100}, {ID: 1, MaxPower: 100},
 	}
-	shares := FIFO{}.Divide(150, children)
+	shares := FIFO{}.Divide(nil, 150, children)
 	// ID 0 gets 100, ID 1 gets 50, ID 2 gets 0.
 	if shares[1] != 100 || shares[2] != 50 || shares[0] != 0 {
 		t.Errorf("FIFO shares = %v", shares)
@@ -99,7 +99,7 @@ func TestFIFOFillsInIDOrder(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	shares := Priority{}.Divide(150, kids())
+	shares := Priority{}.Divide(nil, 150, kids())
 	// Priorities 3 (ID 1), 2 (ID 2), 1 (ID 0): ID1 -> 100, ID2 -> 50, ID0 -> 0.
 	if shares[1] != 100 || shares[2] != 50 || shares[0] != 0 {
 		t.Errorf("priority shares = %v", shares)
@@ -111,22 +111,22 @@ func TestPriorityTieBreaksByID(t *testing.T) {
 		{ID: 5, MaxPower: 100, Priority: 1},
 		{ID: 3, MaxPower: 100, Priority: 1},
 	}
-	shares := Priority{}.Divide(100, children)
+	shares := Priority{}.Divide(nil, 100, children)
 	if shares[1] != 100 || shares[0] != 0 {
 		t.Errorf("tie-break shares = %v", shares)
 	}
 }
 
 func TestRandomSeededDeterministic(t *testing.T) {
-	a := Random{Rng: rand.New(rand.NewSource(7))}.Divide(150, kids())
-	b := Random{Rng: rand.New(rand.NewSource(7))}.Divide(150, kids())
+	a := Random{Rng: rand.New(rand.NewSource(7))}.Divide(nil, 150, kids())
+	b := Random{Rng: rand.New(rand.NewSource(7))}.Divide(nil, 150, kids())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged: %v vs %v", a, b)
 		}
 	}
 	// Nil RNG degrades to deterministic fill, not a panic.
-	c := Random{}.Divide(150, kids())
+	c := Random{}.Divide(nil, 150, kids())
 	if len(c) != 3 {
 		t.Fatalf("nil-rng shares = %v", c)
 	}
@@ -135,11 +135,11 @@ func TestRandomSeededDeterministic(t *testing.T) {
 func TestHistorySmoothes(t *testing.T) {
 	h := &History{Alpha: 0.5}
 	steady := []Child{{ID: 0, Power: 100, MaxPower: 100}, {ID: 1, Power: 100, MaxPower: 100}}
-	h.Divide(200, steady)
+	h.Divide(nil, 200, steady)
 	// Child 0 spikes to 0; EWMA should keep it above the floor-weight level.
 	spiked := []Child{{ID: 0, Power: 0, MaxPower: 100}, {ID: 1, Power: 100, MaxPower: 100}}
-	shares := h.Divide(200, spiked)
-	instant := Proportional{}.Divide(200, spiked)
+	shares := h.Divide(nil, 200, spiked)
+	instant := Proportional{}.Divide(nil, 200, spiked)
 	if shares[0] <= instant[0] {
 		t.Errorf("history share %v should exceed instantaneous %v after a dip", shares[0], instant[0])
 	}
@@ -147,7 +147,7 @@ func TestHistorySmoothes(t *testing.T) {
 
 func TestHistoryZeroValueUsable(t *testing.T) {
 	var h History
-	shares := h.Divide(100, kids())
+	shares := h.Divide(nil, 100, kids())
 	if len(shares) != 3 {
 		t.Fatalf("shares = %v", shares)
 	}
@@ -181,7 +181,7 @@ func TestProportionalConservesProperty(t *testing.T) {
 		for i, p := range powers {
 			children[i] = Child{ID: i, Power: math.Mod(math.Abs(p), 500), MaxPower: 500}
 		}
-		shares := Proportional{}.Divide(total, children)
+		shares := Proportional{}.Divide(nil, total, children)
 		sum := 0.0
 		for _, s := range shares {
 			if s < 0 {
@@ -196,5 +196,28 @@ func TestProportionalConservesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Divide into a reused buffer gives the shares of a fresh division bit for
+// bit whatever the buffer held, in the buffer's own array when it is large
+// enough.
+func TestDivideReusesDst(t *testing.T) {
+	fresh, reused := allPolicies(), allPolicies()
+	for i, p := range fresh {
+		dst := []float64{-7, math.NaN(), 1e9, 3}
+		for _, total := range []float64{0, 50, 175, 10000} {
+			want := p.Divide(nil, total, kids())
+			got := reused[i].Divide(dst, total, kids())
+			if &got[0] != &dst[0] {
+				t.Errorf("%s: shares not written into dst", p.Name())
+			}
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Errorf("%s at %v W: share %d = %v, a fresh division gave %v", p.Name(), total, c, got[c], want[c])
+				}
+			}
+			dst = got
+		}
 	}
 }

@@ -16,7 +16,7 @@ func Flat(name string, ticks int, level float64) *trace.Trace {
 	for i := range d {
 		d[i] = level
 	}
-	return &trace.Trace{Name: name, Class: "flat", Demand: d}
+	return trace.New(name, "flat", d)
 }
 
 // FlatSet returns n identical constant-demand traces.

@@ -36,7 +36,7 @@ func WriteCSV(w io.Writer, s *Set) error {
 	row := make([]string, len(s.Traces))
 	for k := 0; k < n; k++ {
 		for i, t := range s.Traces {
-			row[i] = strconv.FormatFloat(t.Demand[k], 'g', 8, 64)
+			row[i] = strconv.FormatFloat(t.At(k), 'g', 8, 64)
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -80,7 +80,7 @@ func ReadCSV(r io.Reader, name string) (*Set, error) {
 			if err != nil {
 				return nil, fmt.Errorf("line %d col %d: %w", line, i+1, err)
 			}
-			set.Traces[i].Demand = append(set.Traces[i].Demand, v)
+			set.Traces[i].samples = append(set.Traces[i].samples, v)
 		}
 	}
 	if err := set.Validate(); err != nil {

@@ -3,8 +3,10 @@ package tracegen
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nopower/internal/trace"
@@ -20,16 +22,16 @@ func TestAIBurstDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Traces {
-		for k := range a.Traces[i].Demand {
-			if math.Float64bits(a.Traces[i].Demand[k]) != math.Float64bits(b.Traces[i].Demand[k]) {
+		for k := 0; k < a.Traces[i].Len(); k++ {
+			if math.Float64bits(a.Traces[i].At(k)) != math.Float64bits(b.Traces[i].At(k)) {
 				t.Fatalf("trace %d tick %d differs across identical seeds", i, k)
 			}
 		}
 	}
 	c, _ := GenerateAIBurst(8, Params{Ticks: 600, Seed: 43})
 	same := true
-	for k := range a.Traces[0].Demand {
-		if a.Traces[0].Demand[k] != c.Traces[0].Demand[k] {
+	for k := 0; k < a.Traces[0].Len(); k++ {
+		if a.Traces[0].At(k) != c.Traces[0].At(k) {
 			same = false
 			break
 		}
@@ -54,7 +56,11 @@ func TestAIBurstStepMagnitudes(t *testing.T) {
 		if tr.Class != aiClassName {
 			t.Fatalf("%s: class %q, want %q", tr.Name, tr.Class, aiClassName)
 		}
-		for k, d := range tr.Demand {
+		if tr.Len() != 2000 {
+			t.Fatalf("%s: %d ticks, want 2000", tr.Name, tr.Len())
+		}
+		for k := 0; k < tr.Len(); k++ {
+			d := tr.At(k)
 			switch {
 			case d >= aiComputeLevel*0.97 && d <= aiComputeLevel*1.03:
 				high++
@@ -85,8 +91,8 @@ func TestAIBurstPhasePeriods(t *testing.T) {
 			n    int
 		}
 		var runs []run
-		for _, d := range tr.Demand {
-			h := d > mid
+		for k := 0; k < tr.Len(); k++ {
+			h := tr.At(k) > mid
 			if len(runs) == 0 || runs[len(runs)-1].high != h {
 				runs = append(runs, run{high: h})
 			}
@@ -117,9 +123,9 @@ func TestAIBurstSynchronized(t *testing.T) {
 	mid := (aiComputeLevel + aiStallLevel) / 2
 	bin := make([][]bool, len(set.Traces))
 	for i, tr := range set.Traces {
-		bin[i] = make([]bool, len(tr.Demand))
-		for k, d := range tr.Demand {
-			bin[i][k] = d > mid
+		bin[i] = make([]bool, tr.Len())
+		for k := range bin[i] {
+			bin[i][k] = tr.At(k) > mid
 		}
 	}
 	ref := bin[0]
@@ -208,5 +214,104 @@ func TestAIBurstGoldenCSV(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("AI-burst CSV drifted from the committed golden (%d vs %d bytes)", buf.Len(), len(want))
+	}
+}
+
+// materializedAIBurst is the AI-burst generator as it was before its traces
+// read one shared schedule: every trace's samples written out, one per tick,
+// from the same draws. It returns the samples and each trace's start offset.
+func materializedAIBurst(n int, p Params) (demand [][]float64, offsets []int) {
+	if p.Level <= 0 {
+		p.Level = 1.0
+	}
+	rng := rand.New(rand.NewSource(p.Seed))
+	sched := make([]float64, p.Ticks)
+	for k, high := 0, true; k < p.Ticks; high = !high {
+		span := 3 + rng.Intn(6)
+		lvl := aiStallLevel
+		if high {
+			span = 30 + rng.Intn(31)
+			lvl = aiComputeLevel
+		}
+		for i := 0; i < span && k < p.Ticks; i++ {
+			sched[k] = lvl
+			k++
+		}
+	}
+	for i := 0; i < n; i++ {
+		offset := rng.Intn(3)
+		u := float64(rng.Float64())
+		amp := 1 + float64(0.06*(u-0.5))
+		d := make([]float64, p.Ticks)
+		for k := range d {
+			src := k - offset
+			if src < 0 {
+				src = 0
+			}
+			d[k] = sched[src] * amp * p.Level
+		}
+		demand = append(demand, d)
+		offsets = append(offsets, offset)
+	}
+	return demand, offsets
+}
+
+// TestAIBurstReadsMaterialized is the reader contract for schedule-backed
+// traces: for every AI-burst case of the digest table, At(k) for k in
+// [0, 3·Len) returns the bits the materialized trace holds at k mod Len, so
+// a tick past the end wraps before the shift. The cases cover every start
+// offset, 0–2.
+func TestAIBurstReadsMaterialized(t *testing.T) {
+	var shifts [3]int
+	for _, c := range digestCases() {
+		n, ok := aiBurstMixSize(c.mix)
+		if c.mix == MixAIBurst {
+			n, ok = 60, true
+		}
+		if !ok {
+			continue
+		}
+		set, err := BuildMix(c.mix, c.ticks, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, offsets := materializedAIBurst(n, Params{Ticks: c.ticks, Seed: c.seed})
+		if set.Len() != n {
+			t.Fatalf("%s: %d traces, want %d", c, set.Len(), n)
+		}
+		for i, tr := range set.Traces {
+			shifts[offsets[i]]++
+			if tr.Len() != c.ticks {
+				t.Fatalf("%s: %s has %d ticks, want %d", c, tr.Name, tr.Len(), c.ticks)
+			}
+			for k := 0; k < 3*c.ticks; k++ {
+				if got, w := tr.At(k), want[i][k%c.ticks]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("%s: %s (offset %d) At(%d) = %v, materialized %v", c, tr.Name, offsets[i], k, got, w)
+				}
+			}
+		}
+	}
+	for s, n := range shifts {
+		if n == 0 {
+			t.Errorf("no AI-burst case has a trace at offset %d", s)
+		}
+	}
+}
+
+// The facility benchmark's set, 2500 traces over 3000 ticks, costs what its
+// schedule and its per-trace headers cost: materialized, it was ~60 MB.
+func TestAIBurstSetAllocations(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	set, err := BuildMix(AIBurstMix(2500), 3000, 42)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("BuildMix(aiburst2500, 3000 ticks) allocated %d bytes, want under 1 MiB", got)
+	}
+	if set.Len() != 2500 || set.Traces[2499].Len() != 3000 {
+		t.Errorf("set of %d traces, last %d ticks", set.Len(), set.Traces[2499].Len())
 	}
 }

@@ -69,9 +69,9 @@ func mixDigest(set *trace.Set) string {
 	for _, tr := range set.Traces {
 		str(tr.Name)
 		str(tr.Class)
-		put(uint64(len(tr.Demand)))
-		for _, d := range tr.Demand {
-			put(math.Float64bits(d))
+		put(uint64(tr.Len()))
+		for k := 0; k < tr.Len(); k++ {
+			put(math.Float64bits(tr.At(k)))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -229,23 +229,42 @@ func TestBuildMixConcurrent(t *testing.T) {
 	}
 }
 
-// TestTraceDemandIsolated appends to one generated trace and checks the next
-// trace's first sample: traces may share backing storage, but never a
-// writable tail.
+// TestTraceDemandIsolated scales or clips one generated trace at a time and
+// checks every other trace of the set against a fresh build: traces may share
+// backing storage (a generator call's arena, the AI-burst schedule), but a
+// write lands only on the trace it is made through.
 func TestTraceDemandIsolated(t *testing.T) {
+	writes := map[string]func(*trace.Trace){
+		"Scale": func(tr *trace.Trace) { tr.Scale(2) },
+		"Clip":  func(tr *trace.Trace) { tr.Clip(0) },
+	}
 	for _, c := range []digestCase{{Mix60L, 50, 1}, {Mix60HH, 50, 1}, {MixAIBurst, 50, 1},
 		{Mix180, 50, 1}, {HeteroMix(10), 50, 1}} {
-		set, err := BuildMix(c.mix, c.ticks, c.seed)
+		ref, err := BuildMix(c.mix, c.ticks, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i+1 < set.Len(); i++ {
-			cur, next := set.Traces[i], set.Traces[i+1]
-			first := math.Float64bits(next.Demand[0])
-			cur.Demand = append(cur.Demand, math.Inf(1))
-			if got := math.Float64bits(next.Demand[0]); got != first {
-				t.Fatalf("%s: appending to %s rewrote %s's first sample (%v)", c, cur.Name, next.Name,
-					math.Float64frombits(got))
+		for name, write := range writes {
+			for i := range ref.Traces {
+				set, err := BuildMix(c.mix, c.ticks, c.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				write(set.Traces[i])
+				if set.Traces[i].Len() != c.ticks {
+					t.Fatalf("%s: %s left %s with %d ticks", c, name, set.Traces[i].Name, set.Traces[i].Len())
+				}
+				for j, tr := range set.Traces {
+					if j == i {
+						continue
+					}
+					for k := 0; k < c.ticks; k++ {
+						if got, want := tr.At(k), ref.Traces[j].At(k); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: %s on %s moved %s at tick %d: %v, built %v", c, name,
+								set.Traces[i].Name, tr.Name, k, got, want)
+						}
+					}
+				}
 			}
 		}
 	}

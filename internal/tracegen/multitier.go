@@ -71,11 +71,7 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 	for s := 0; s < stacks; s++ {
 		fill(requests, wave, base, p.Level, day, rng)
 		for _, tier := range tiers {
-			tr := &trace.Trace{
-				Name:   fmt.Sprintf("stack%02d-%s", s, tier.Name),
-				Class:  tier.Class,
-				Demand: make([]float64, p.Ticks),
-			}
+			demand := make([]float64, p.Ticks)
 			ar := 0.0
 			const phi = 0.8
 			for k := 0; k < p.Ticks; k++ {
@@ -87,9 +83,9 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 				if d > 1.3 {
 					d = 1.3
 				}
-				tr.Demand[k] = d
+				demand[k] = d
 			}
-			set.Traces = append(set.Traces, tr)
+			set.Traces = append(set.Traces, trace.New(fmt.Sprintf("stack%02d-%s", s, tier.Name), tier.Class, demand))
 		}
 	}
 	return set, nil
@@ -108,14 +104,14 @@ func Correlation(a, b *trace.Trace) float64 {
 	}
 	var ma, mb float64
 	for i := 0; i < n; i++ {
-		ma += a.Demand[i]
-		mb += b.Demand[i]
+		ma += a.At(i)
+		mb += b.At(i)
 	}
 	ma /= float64(n)
 	mb /= float64(n)
 	var cov, va, vb float64
 	for i := 0; i < n; i++ {
-		da, db := a.Demand[i]-ma, b.Demand[i]-mb
+		da, db := a.At(i)-ma, b.At(i)-mb
 		cov += float64(da * db)
 		va += float64(da * da)
 		vb += float64(db * db)

@@ -56,19 +56,19 @@ func TestMultiTierCorrelationStructure(t *testing.T) {
 }
 
 func TestCorrelationBasics(t *testing.T) {
-	a := &trace.Trace{Demand: []float64{1, 2, 3, 4}}
-	b := &trace.Trace{Demand: []float64{2, 4, 6, 8}}
+	a := trace.New("a", "", []float64{1, 2, 3, 4})
+	b := trace.New("b", "", []float64{2, 4, 6, 8})
 	if got := Correlation(a, a); got < 0.999 {
 		t.Errorf("self correlation = %v", got)
 	}
 	if got := Correlation(a, b); got < 0.999 {
 		t.Errorf("linear correlation = %v", got)
 	}
-	inv := &trace.Trace{Demand: []float64{4, 3, 2, 1}}
+	inv := trace.New("inv", "", []float64{4, 3, 2, 1})
 	if got := Correlation(a, inv); got > -0.999 {
 		t.Errorf("anti-correlation = %v", got)
 	}
-	flat := &trace.Trace{Demand: []float64{1, 1, 1, 1}}
+	flat := trace.New("flat", "", []float64{1, 1, 1, 1})
 	if got := Correlation(a, flat); got != 0 {
 		t.Errorf("zero-variance correlation = %v", got)
 	}

@@ -121,7 +121,8 @@ func Generate(n int, p Params) (*trace.Set, error) {
 // generate fills dst with len(dst) traces cycling through the workload
 // classes, naming trace i after its class and index first+i, so a tier of a
 // blended mix is named in place. Every sample of the call sits in one
-// arena (see newTraces).
+// backing array and every trace in one array of traces: two allocations
+// instead of 2·len(dst). A retained trace keeps both alive.
 func generate(dst []*trace.Trace, first int, p Params) error {
 	if p.Ticks <= 0 {
 		return fmt.Errorf("tracegen: ticks = %d", p.Ticks)
@@ -136,7 +137,8 @@ func generate(dst []*trace.Trace, first int, p Params) error {
 	rng := rand.New(rand.NewSource(p.Seed))
 	classes := Classes()
 	day := newDayTable(p.Ticks, p.TicksPerDay)
-	traces := newTraces(len(dst), p.Ticks)
+	samples := make([]float64, len(dst)*p.Ticks)
+	traces := make([]trace.Trace, len(dst))
 	wave := make([]float64, len(day.pos))
 	var part []float64
 	if stack > 1 {
@@ -144,11 +146,9 @@ func generate(dst []*trace.Trace, first int, p Params) error {
 	}
 	for i := range dst {
 		cls := classes[i%len(classes)]
-		tr := &traces[i]
-		tr.Name = traceName(cls.Name, first+i)
-		tr.Class = cls.Name
+		demand := samples[i*p.Ticks : (i+1)*p.Ticks]
 		if stack == 1 {
-			fill(tr.Demand, wave, cls, p.Level, day, rng)
+			fill(demand, wave, cls, p.Level, day, rng)
 		} else {
 			// The paper's stacking construction (60HH stacks two traces,
 			// 60HHH three; §4.3): each independently drawn part added in
@@ -156,14 +156,16 @@ func generate(dst []*trace.Trace, first int, p Params) error {
 			for s := 0; s < stack; s++ {
 				fill(part, wave, cls, p.Level, day, rng)
 				for k, d := range part {
-					tr.Demand[k] += d
+					demand[k] += d
 				}
 			}
 		}
+		// New inlines, so copying its trace into the array allocates
+		// nothing.
+		traces[i] = *trace.New(traceName(cls.Name, first+i), cls.Name, demand)
 		// Demand above ~1.3 of a full server is unrealistic for a single
 		// consolidatable VM; clip so stacked mixes stay servable-ish.
-		tr.Clip(1.3)
-		dst[i] = tr
+		dst[i] = traces[i].Clip(1.3)
 	}
 	return nil
 }
@@ -178,19 +180,6 @@ func traceName(class string, i int) string {
 		b = append(b, '0')
 	}
 	return string(strconv.AppendInt(b, int64(i), 10))
-}
-
-// newTraces allocates n traces of the given length whose samples share one
-// backing array (one allocation instead of n). Each Demand's capacity is
-// pinned to its length, so an append reallocates rather than running into
-// the next trace; a retained trace keeps the whole arena alive.
-func newTraces(n, ticks int) []trace.Trace {
-	traces := make([]trace.Trace, n)
-	samples := make([]float64, n*ticks)
-	for i := range traces {
-		traces[i].Demand = samples[i*ticks : (i+1)*ticks : (i+1)*ticks]
-	}
-	return traces
 }
 
 // dayTable tabulates what every trace of a call shares about tick k: the
@@ -283,7 +272,10 @@ const (
 // 3–8 ticks at ~0.20) shared by every trace, with a per-trace start offset
 // of 0–2 ticks (the step spans "a few ticks" fleet-wide, not one) and a
 // small per-trace amplitude jitter. Driven entirely by the seeded source,
-// so the schedule is reproducible bit-for-bit from (n, ticks, seed).
+// so the schedule is reproducible bit-for-bit from (n, ticks, seed). Every
+// trace reads the one schedule (trace.OnSchedule) instead of a copy: sample
+// k of a trace is sched[max(k−offset, 0)]·amp·Level, and the set holds
+// ticks + O(n) floats, not n·ticks.
 func GenerateAIBurst(n int, p Params) (*trace.Set, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("tracegen: n = %d", n)
@@ -310,23 +302,12 @@ func GenerateAIBurst(n int, p Params) (*trace.Set, error) {
 		}
 	}
 	set := &trace.Set{Name: fmt.Sprintf("aiburst-%d", n), Traces: make([]*trace.Trace, n)}
-	traces := newTraces(n, p.Ticks)
-	for i := range traces {
+	for i := range set.Traces {
 		offset := rng.Intn(3) // the fleet steps within ~3 ticks
 		// ±3 % group-to-group spread, rounded step by step as in fill.
 		u := float64(rng.Float64())
 		amp := 1 + float64(0.06*(u-0.5))
-		tr := &traces[i]
-		tr.Name = traceName(aiClassName, i)
-		tr.Class = aiClassName
-		for k := range tr.Demand {
-			src := k - offset
-			if src < 0 {
-				src = 0
-			}
-			tr.Demand[k] = sched[src] * amp * p.Level
-		}
-		set.Traces[i] = tr
+		set.Traces[i] = trace.OnSchedule(traceName(aiClassName, i), aiClassName, sched, offset, amp, p.Level)
 	}
 	return set, nil
 }

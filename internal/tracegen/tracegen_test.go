@@ -29,8 +29,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Traces {
-		for k := range a.Traces[i].Demand {
-			if a.Traces[i].Demand[k] != b.Traces[i].Demand[k] {
+		for k := 0; k < a.Traces[i].Len(); k++ {
+			if a.Traces[i].At(k) != b.Traces[i].At(k) {
 				t.Fatalf("trace %d tick %d differs across identical seeds", i, k)
 			}
 		}
@@ -41,8 +41,8 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	a, _ := Generate(1, Params{Ticks: 200, Seed: 1})
 	b, _ := Generate(1, Params{Ticks: 200, Seed: 2})
 	same := true
-	for k := range a.Traces[0].Demand {
-		if a.Traces[0].Demand[k] != b.Traces[0].Demand[k] {
+	for k := 0; k < a.Traces[0].Len(); k++ {
+		if a.Traces[0].At(k) != b.Traces[0].At(k) {
 			same = false
 			break
 		}
@@ -193,20 +193,14 @@ func TestHeteroMixSizesAndDeterminism(t *testing.T) {
 	}
 	for i := range set.Traces {
 		a, b := set.Traces[i], again.Traces[i]
-		for k := range a.Demand {
-			if a.Demand[k] != b.Demand[k] {
+		for k := 0; k < a.Len(); k++ {
+			if a.At(k) != b.At(k) {
 				t.Fatalf("trace %d tick %d not reproducible", i, k)
 			}
 		}
 	}
 	// The stacked-high tail must actually be hotter than the low tier.
-	mean := func(i int) float64 {
-		s := 0.0
-		for _, d := range set.Traces[i].Demand {
-			s += d
-		}
-		return s / float64(len(set.Traces[i].Demand))
-	}
+	mean := func(i int) float64 { return set.Traces[i].Summarize().Mean }
 	if lo, hi := mean(0), mean(set.Len()-1); hi <= lo {
 		t.Errorf("high tier mean %v not above low tier %v", hi, lo)
 	}
@@ -234,7 +228,7 @@ func TestDiurnalShapePresent(t *testing.T) {
 	var dayMean [1000]float64
 	days := tr.Len() / 1000
 	for k := 0; k < tr.Len(); k++ {
-		dayMean[k%1000] += tr.Demand[k] / float64(days)
+		dayMean[k%1000] += tr.At(k) / float64(days)
 	}
 	min, max := math.Inf(1), math.Inf(-1)
 	for _, v := range dayMean {

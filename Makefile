@@ -61,9 +61,15 @@ FMA_ARCHS = arm64 ppc64le s390x riscv64
 # (cluster.Server) and the struct slice (cl.Servers) were removed in the
 # struct-of-arrays redesign, and nothing outside internal/cluster may grow
 # them back or poke columns directly. The wire-format cluster.ServerState
-# (checkpoints) is explicitly allowed. It then cross-compiles FMA_PKGS for
-# each of FMA_ARCHS with the assembly listing on and fails, naming file and
-# line, on any fused multiply-add instruction.
+# (checkpoints) is explicitly allowed. Then the caller check
+# (internal/lint/callers, a go/types pass over this module and
+# bench/npbench) fails, naming file and line, on an exported name under
+# internal/ that no non-test code references, unless
+# internal/lint/callers/allowlist.txt lists it with a reason, and on an
+# allowlist entry that is referenced now or names nothing. Last it
+# cross-compiles FMA_PKGS for each of FMA_ARCHS with the assembly listing
+# on and fails, naming file and line, on any fused multiply-add
+# instruction.
 lint:
 	@bad=$$(grep -rn --include='*.go' --exclude-dir=.git -E \
 		'cluster\.Server([^A-Za-z0-9_]|$$)|\bcl\.Servers\b' . \
@@ -72,6 +78,7 @@ lint:
 		echo "removed cluster.Server API referenced outside internal/cluster:"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@$(GO) run ./internal/lint/callers
 	@for arch in $(FMA_ARCHS); do \
 		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
 		fused=$$(echo "$$asm" | awk -v arch=$$arch -v root="$(CURDIR)/" \

@@ -139,9 +139,6 @@ func (c *CappingLoop) Step(pow float64) float64 {
 	return c.RRef
 }
 
-// Reference returns the power cap.
-func (c *CappingLoop) Reference() float64 { return c.Cap }
-
 // SetReference sets the power cap — the channel the EM/GM actuate.
 func (c *CappingLoop) SetReference(cap float64) {
 	if cap > 0 {

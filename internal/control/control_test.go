@@ -306,12 +306,12 @@ func TestStableBetaBoundAndDefault(t *testing.T) {
 func TestCappingLoopSetReference(t *testing.T) {
 	sm, _ := NewCappingLoop(0.01, 90, 0.75, 0.99)
 	sm.SetReference(70)
-	if sm.Reference() != 70 {
-		t.Errorf("cap = %v, want 70", sm.Reference())
+	if sm.Cap != 70 {
+		t.Errorf("cap = %v, want 70", sm.Cap)
 	}
 	sm.SetReference(-5) // ignored
-	if sm.Reference() != 70 {
-		t.Errorf("negative cap should be ignored, got %v", sm.Reference())
+	if sm.Cap != 70 {
+		t.Errorf("negative cap should be ignored, got %v", sm.Cap)
 	}
 }
 

@@ -39,8 +39,6 @@ const DefaultRRef = 0.75
 type Controller struct {
 	// Period is T_ec in ticks (1 in the paper's baseline).
 	Period int
-	// Lambda is the scaling gain λ.
-	Lambda float64
 
 	// loops is a value slice: the per-server loop states live contiguously,
 	// matching the cluster's columnar layout (one cache-friendly stream per
@@ -62,7 +60,7 @@ func New(cl *cluster.Cluster, lambda, rRef float64, period int) (*Controller, er
 		return nil, fmt.Errorf("ec: period %d", period)
 	}
 	n := cl.NumServers()
-	c := &Controller{Period: period, Lambda: lambda, rRef0: rRef, steps: make([]int64, n),
+	c := &Controller{Period: period, rRef0: rRef, steps: make([]int64, n),
 		loops: make([]control.UtilizationLoop, n), wasOn: make([]bool, n)}
 	for i := range c.loops {
 		m := cl.ServerModel(i)

@@ -26,6 +26,7 @@ import (
 
 	"nopower/internal/binpack"
 	"nopower/internal/cluster"
+	"nopower/internal/controllers/ec"
 	"nopower/internal/obs"
 	"nopower/internal/state"
 )
@@ -55,9 +56,6 @@ type Config struct {
 	// PackFraction is the fraction of a server's full-speed capacity the
 	// packer may fill (leaves control headroom for the EC/SM).
 	PackFraction float64
-	// MigrationWeight is α_M expressed as a Watts-equivalent objective cost
-	// per migration.
-	MigrationWeight float64
 	// AssumeEC selects the packer's internal power model. When true the VMC
 	// knows an efficiency controller will throttle packed servers to the
 	// r_ref operating point, so a bin's power envelope runs from the deepest
@@ -65,9 +63,6 @@ type Config struct {
 	// the EC-managed steady state. When false (no EC deployed), servers stay
 	// at P0 and the plain P0 model applies.
 	AssumeEC bool
-	// RRef is the EC utilization target used by the AssumeEC envelope
-	// (default 0.75).
-	RRef float64
 	// DelayWeight switches the optimizer toward an energy-delay objective
 	// (§6.1 extension 6): positive values penalize dense packing in
 	// proportion to utilization squared, trading some consolidation savings
@@ -76,26 +71,19 @@ type Config struct {
 	// Headroom scales the demand-variability margin added to the mean
 	// estimate (estimate = mean + Headroom·meanAbsDeviation).
 	Headroom float64
-	// BufferStep, BufferDecay, BufferMax shape the feedback buffers.
-	BufferStep, BufferDecay, BufferMax float64
 }
 
-// DefaultConfig returns the paper-baseline coordinated configuration.
-func DefaultConfig() Config {
-	return Config{
-		Period:          500,
-		UseRealUtil:     true,
-		UseBudgets:      true,
-		UseFeedback:     true,
-		AllowOff:        true,
-		PackFraction:    0.85,
-		MigrationWeight: 5,
-		Headroom:        0.5,
-		BufferStep:      0.15,
-		BufferDecay:     0.02,
-		BufferMax:       0.10,
-	}
-}
+const (
+	// migrationWeight is α_M expressed as a Watts-equivalent objective cost
+	// per migration.
+	migrationWeight = 5
+	// bufferStep, bufferDecay and bufferMax shape the feedback buffers: the
+	// rise per violating epoch share, the decay per 500 quiet ticks, and
+	// the ceiling.
+	bufferStep  = 0.15
+	bufferDecay = 0.02
+	bufferMax   = 0.10
+)
 
 // Controller is the VM consolidation controller.
 type Controller struct {
@@ -136,9 +124,6 @@ func New(cl *cluster.Cluster, cfg Config) (*Controller, error) {
 	}
 	if cfg.PackFraction <= 0 || cfg.PackFraction > 1 {
 		return nil, fmt.Errorf("vmc: pack fraction %v", cfg.PackFraction)
-	}
-	if cfg.BufferMax < 0 || cfg.BufferMax >= 1 {
-		return nil, fmt.Errorf("vmc: buffer max %v", cfg.BufferMax)
 	}
 	return &Controller{
 		cfg:    cfg,
@@ -330,20 +315,20 @@ func (c *Controller) adjust(b float64, src ViolationSource) float64 {
 	}
 	viol, epochs := src.DrainViolations()
 	if epochs > 0 && viol > 0 {
-		b += c.cfg.BufferStep * float64(viol) / float64(epochs)
+		b += bufferStep * float64(viol) / float64(epochs)
 	} else {
 		// The upward step is event-driven (per violation report); the decay
 		// is a TIME rate, scaled by the epoch length. A faster-running VMC
 		// therefore steps up more often but decays no faster — the paper's
 		// "increased aggressiveness in the feedback parameter with
 		// increased frequency of operation" (§5.4).
-		b -= c.cfg.BufferDecay * float64(c.cfg.Period) / 500.0
+		b -= bufferDecay * float64(c.cfg.Period) / 500.0
 	}
 	if b < 0 {
 		b = 0
 	}
-	if b > c.cfg.BufferMax {
-		b = c.cfg.BufferMax
+	if b > bufferMax {
+		b = bufferMax
 	}
 	return b
 }
@@ -364,10 +349,8 @@ func (c *Controller) repack(k int, cl *cluster.Cluster) {
 		}
 		grpBudget = (1 - c.bGrp) * cl.CapGrp()
 	}
-	rRef := c.cfg.RRef
-	if rRef <= 0 || rRef >= 1 {
-		rRef = 0.75
-	}
+	// The EC-managed envelope is drawn at the EC's utilization target.
+	const rRef = ec.DefaultRRef
 	packFraction := c.cfg.PackFraction * (1 - c.bPerf)
 	for i, n := 0, cl.NumServers(); i < n; i++ {
 		m := cl.ServerModel(i)
@@ -415,7 +398,7 @@ func (c *Controller) repack(k int, cl *cluster.Cluster) {
 		Bins:             bins,
 		EnclosureBudgets: encBudgets,
 		GroupBudget:      grpBudget,
-		MigrationWeight:  c.cfg.MigrationWeight,
+		MigrationWeight:  migrationWeight,
 		DelayWeight:      c.cfg.DelayWeight,
 	})
 	if err != nil {

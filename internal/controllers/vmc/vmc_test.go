@@ -7,12 +7,11 @@ import (
 	"nopower/internal/testutil"
 )
 
-// cfg returns a fast-epoch coordinated configuration for tests.
+// cfg returns a fast-epoch coordinated configuration for tests: the three
+// coordination interfaces on, machines allowed off, a 50-tick epoch.
 func cfg() Config {
-	c := DefaultConfig()
-	c.Period = 50
-	c.SamplePeriod = 5
-	return c
+	return Config{Period: 50, SamplePeriod: 5, UseRealUtil: true, UseBudgets: true,
+		UseFeedback: true, AllowOff: true, PackFraction: 0.85, Headroom: 0.5}
 }
 
 // run drives the VMC alone against the plant.
@@ -33,7 +32,6 @@ func TestNewValidation(t *testing.T) {
 		{Period: 0, PackFraction: 0.8},
 		{Period: 10, PackFraction: 0},
 		{Period: 10, PackFraction: 1.5},
-		{Period: 10, PackFraction: 0.8, BufferMax: 1.0},
 	}
 	for i, c := range bad {
 		if _, err := New(cl, c); err == nil {
@@ -158,8 +156,8 @@ func TestFeedbackBuffers(t *testing.T) {
 		c.updateBuffers()
 	}
 	bLoc, _, _ = c.Buffers()
-	if bLoc > conf.BufferMax {
-		t.Errorf("b_loc %.3f above max %.3f", bLoc, conf.BufferMax)
+	if bLoc > bufferMax {
+		t.Errorf("b_loc %.3f above max %.3f", bLoc, bufferMax)
 	}
 	// Decay when quiet.
 	src.v = 0

@@ -32,8 +32,6 @@ const minAllocation = 0.02
 type Controller struct {
 	// Period is the control interval in ticks (T_ec).
 	Period int
-	// Lambda is the per-VM loop gain.
-	Lambda float64
 
 	loops   []*control.UtilizationLoop // indexed by VM ID
 	targets []float64                  // per-server r_ref broadcast by the SM
@@ -47,7 +45,7 @@ func New(cl *cluster.Cluster, lambda, rRef float64, period int) (*Controller, er
 	if period <= 0 {
 		return nil, fmt.Errorf("vmec: period %d", period)
 	}
-	c := &Controller{Period: period, Lambda: lambda, rRef0: rRef}
+	c := &Controller{Period: period, rRef0: rRef}
 	for i, n := 0, cl.NumServers(); i < n; i++ {
 		c.wasOn = append(c.wasOn, true)
 		c.targets = append(c.targets, rRef)

@@ -81,19 +81,8 @@ type Spec struct {
 	AllowOff bool
 	// Periods are the five control intervals.
 	Periods Periods
-	// Lambda is the EC gain (0 = paper default 0.8).
-	Lambda float64
-	// Beta is the SM gain (0 = half the per-model Appendix-A bound).
-	Beta float64
-	// RRef is the EC's initial utilization target (0 = 0.75).
-	RRef float64
 	// Policy names the EM/GM budget-division policy ("" = proportional).
 	Policy string
-	// MigrationWeight is the VMC objective weight per migration in
-	// Watts-equivalents (0 = 5).
-	MigrationWeight float64
-	// PackFraction bounds VMC packing density (0 = 0.85).
-	PackFraction float64
 	// ElectricalCap adds the optional per-server CAP block at this budget
 	// in Watts (0 = absent).
 	ElectricalCap float64
@@ -116,8 +105,6 @@ type Spec struct {
 	// EnablePM adds the §7 future-work performance manager: SLO telemetry
 	// that (when Coordinated) feeds the VMC's packing-headroom buffer.
 	EnablePM bool
-	// SLO is the performance manager's served-fraction objective (0 = 0.95).
-	SLO float64
 	// Seed drives any stochastic policy (e.g. random division).
 	Seed int64
 	// Shards bounds the goroutines used per tick for the plant advance and
@@ -260,24 +247,6 @@ type Handles struct {
 // describes, because the EC acts last on the shared P-state knob.
 func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
 	spec.Periods = spec.Periods.Effective()
-	if spec.Lambda == 0 {
-		spec.Lambda = ec.DefaultLambda
-	}
-	if spec.RRef == 0 {
-		spec.RRef = ec.DefaultRRef
-	}
-	if spec.MigrationWeight == 0 {
-		spec.MigrationWeight = 5
-	}
-	if spec.PackFraction == 0 {
-		// The coordinated VMC leaves control headroom; the naive one packs
-		// to the hilt — part of what makes it dangerous (§2.3).
-		if spec.Coordinated {
-			spec.PackFraction = 0.85
-		} else {
-			spec.PackFraction = 1.0
-		}
-	}
 
 	// A serializable SplitMix64 source instead of math/rand's default: its
 	// state is 8 bytes, so a checkpoint captures and restores the exact
@@ -317,25 +286,23 @@ func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
 		stack = append(stack, h.Cooling)
 	}
 	if spec.EnableVMC {
-		headroom := 0.5 // variability margin over the mean demand estimate
-		if !spec.Coordinated {
-			headroom = 0 // the naive consolidator packs on the raw mean
+		// The coordinated VMC leaves control headroom and packs on the mean
+		// demand estimate plus a variability margin; the naive one packs the
+		// raw mean to the hilt — part of what makes it dangerous (§2.3).
+		packFraction, headroom := 1.0, 0.0
+		if spec.Coordinated {
+			packFraction, headroom = 0.85, 0.5
 		}
 		cfg := vmc.Config{
-			Period:          spec.Periods.VMC,
-			UseRealUtil:     orDefault(spec.VMCRealUtil, spec.Coordinated),
-			UseBudgets:      orDefault(spec.VMCBudgets, spec.Coordinated),
-			UseFeedback:     orDefault(spec.VMCFeedback, spec.Coordinated),
-			AllowOff:        spec.AllowOff,
-			PackFraction:    spec.PackFraction,
-			MigrationWeight: spec.MigrationWeight,
-			AssumeEC:        spec.EnableEC && spec.Coordinated,
-			RRef:            spec.RRef,
-			DelayWeight:     spec.DelayWeight,
-			Headroom:        headroom,
-			BufferStep:      0.15,
-			BufferDecay:     0.02,
-			BufferMax:       0.10,
+			Period:       spec.Periods.VMC,
+			UseRealUtil:  orDefault(spec.VMCRealUtil, spec.Coordinated),
+			UseBudgets:   orDefault(spec.VMCBudgets, spec.Coordinated),
+			UseFeedback:  orDefault(spec.VMCFeedback, spec.Coordinated),
+			AllowOff:     spec.AllowOff,
+			PackFraction: packFraction,
+			AssumeEC:     spec.EnableEC && spec.Coordinated,
+			DelayWeight:  spec.DelayWeight,
+			Headroom:     headroom,
 		}
 		h.VMC, err = vmc.New(cl, cfg)
 		if err != nil {
@@ -366,13 +333,13 @@ func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
 	var ecSetter sm.RRefSetter
 	if spec.EnableEC {
 		if spec.VMLevelEC {
-			h.VMEC, err = vmec.New(cl, spec.Lambda, spec.RRef, spec.Periods.EC)
+			h.VMEC, err = vmec.New(cl, ec.DefaultLambda, ec.DefaultRRef, spec.Periods.EC)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: %w", err)
 			}
 			ecCtrl, ecSetter = h.VMEC, h.VMEC
 		} else {
-			h.EC, err = ec.New(cl, spec.Lambda, spec.RRef, spec.Periods.EC)
+			h.EC, err = ec.New(cl, ec.DefaultLambda, ec.DefaultRRef, spec.Periods.EC)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: %w", err)
 			}
@@ -389,7 +356,9 @@ func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
 			mode = sm.Coordinated
 			ecIface = ecSetter
 		}
-		h.SM, err = sm.New(cl, ecIface, mode, spec.Beta, spec.Periods.SM)
+		// β = 0 asks for sm.New's default: half each model's Appendix-A
+		// bound.
+		h.SM, err = sm.New(cl, ecIface, mode, 0, spec.Periods.SM)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
@@ -415,11 +384,7 @@ func Build(cl *cluster.Cluster, spec Spec) (*sim.Engine, *Handles, error) {
 		}
 	}
 	if spec.EnablePM {
-		slo := spec.SLO
-		if slo == 0 {
-			slo = pm.DefaultSLO
-		}
-		h.PM, err = pm.New(slo, spec.Periods.SM)
+		h.PM, err = pm.New(pm.DefaultSLO, spec.Periods.SM)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}

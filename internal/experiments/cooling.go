@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"nopower/internal/cooling"
 	"nopower/internal/core"
 	"nopower/internal/report"
 	"nopower/internal/runner"
@@ -28,7 +29,7 @@ type CoolingRow struct {
 func CoolingData(ctx context.Context, opts Options) ([]CoolingRow, error) {
 	opts = opts.normalized()
 	sc := Scenario{Model: "BladeA", Mix: tracegen.Mix180, Budgets: Base201510(),
-		Ticks: opts.Ticks, Seed: opts.Seed}
+		Ticks: opts.Ticks, Seed: opts.Seed}.normalized()
 	type cracPolicy struct {
 		name        string
 		adaptive    bool
@@ -47,30 +48,24 @@ func CoolingData(ctx context.Context, opts Options) ([]CoolingRow, error) {
 		{"degraded airflow + export", true, true, 0.70},
 	}
 	return runner.Map(ctx, opts.Parallelism, policies, func(ctx context.Context, policy cracPolicy) (CoolingRow, error) {
-		cl, err := sc.buildCluster(ctx)
-		if err != nil {
-			return CoolingRow{}, err
-		}
-		spec := core.Coordinated()
+		spec := core.Coordinated() // the IT stack stays coordinated throughout
 		spec.EnableCooling = true
-		spec.Coordinated = true // the IT stack stays coordinated throughout
-		eng, h, err := core.Build(cl, spec)
+		var zone *cooling.Manager
+		setPolicy := func(h *core.Handles) {
+			zone = h.Cooling
+			zone.Coordinated = policy.coordinated
+			if !policy.adaptive {
+				zone.CRAC.MaxSupplyC = zone.CRAC.MinSupplyC + 0.001
+			}
+			if policy.rth > 0 {
+				zone.Thermal.RthCPerW = policy.rth
+			}
+		}
+		_, res, err := execute(ctx, sc, spec, ChaosCase{}, nil, Observers{OnBuild: setPolicy}, sc.Ticks)
 		if err != nil {
 			return CoolingRow{}, fmt.Errorf("cooling %q: %w", policy.name, err)
 		}
-		h.Cooling.Coordinated = policy.coordinated
-		if !policy.adaptive {
-			h.Cooling.CRAC.MaxSupplyC = h.Cooling.CRAC.MinSupplyC + 0.001
-		}
-		if policy.rth > 0 {
-			h.Cooling.Thermal.RthCPerW = policy.rth
-		}
-		col, err := eng.RunContext(ctx, sc.normalized().Ticks)
-		if err != nil {
-			return CoolingRow{}, err
-		}
-		res := col.Finalize(0)
-		coolW, maxTemp, trips := h.Cooling.Stats()
+		coolW, maxTemp, trips := zone.Stats()
 		row := CoolingRow{
 			Policy:     policy.name,
 			ITPowerW:   res.AvgPower,

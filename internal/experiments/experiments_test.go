@@ -473,7 +473,7 @@ func TestMultiSeedShape(t *testing.T) {
 // §6.1 extensions: the variants run and the energy-delay objective trades
 // savings for performance as designed.
 func TestExtensionsShape(t *testing.T) {
-	tables, err := Extensions(ctx, Options{Ticks: 1500, Seed: 42, Parallelism: 4})
+	tables, err := RunExperiment(ctx, "extensions", WithTicks(1500), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,19 +14,14 @@ import (
 	"nopower/internal/tracegen"
 )
 
-// Extensions exercises the §6.1 extension catalogue that goes beyond the
-// five base controllers: VM-level efficiency control with arbitration (4),
-// the energy-delay objective (6), the electrical capper (2), heterogeneous
-// fleets (5), and the MIMO component/platform coordination (1, 3). The
-// four sub-studies run one after another: the E13 sweep and the rack study
-// each fan out over a pool of opts.Parallelism workers, and a pool around
-// them would put up to twice that many simulations in flight.
-func Extensions(ctx context.Context, opts Options) ([]*report.Table, error) {
+// extensionStudies renders E13's tables after its first (extensionsSweep,
+// which runs in its batch's sweep): the heterogeneous fleet (§6.1
+// extension 5), the MIMO component/platform coordination (1, 3) and the
+// rack of MIMO platforms. They run one after another: the rack study fans
+// out over a pool of opts.Parallelism workers, and a pool around the
+// studies would put up to twice that many simulations in flight.
+func extensionStudies(ctx context.Context, opts Options) ([]*report.Table, error) {
 	opts = opts.normalized()
-	sweep, err := sweepTables(ctx, opts, extensionsSweep)
-	if err != nil {
-		return nil, err
-	}
 	hetero, err := extensionHeterogeneous(ctx, opts)
 	if err != nil {
 		return nil, err
@@ -39,7 +34,7 @@ func Extensions(ctx context.Context, opts Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []*report.Table{sweep[0], hetero, mimo, rack}, nil
+	return []*report.Table{hetero, mimo, rack}, nil
 }
 
 // extensionRack nests the MIMO platform cappers under a rack manager — the
@@ -83,6 +78,8 @@ func extensionRack(ctx context.Context, opts Options) (*report.Table, error) {
 // extensionsSweep is E13's first table: the base coordinated stack against
 // the VM-level EC wiring, the energy-delay objective, the added electrical
 // capper and the performance manager on the standard BladeA/180 scenario.
+// Its base row is fig7's BladeA/180 coordinated run, so a batch holding
+// both runs it once.
 var extensionsSweep = tableSweep{
 	name: "extensions",
 	runs: func(opts Options) []sweepRun {
@@ -116,6 +113,9 @@ func extensionHeterogeneous(ctx context.Context, opts Options) (*report.Table, e
 	sc := baseScenario("BladeA", tracegen.Mix180, opts)
 	// The mixed cluster: blades stay BladeA, standalone become ServerB. The
 	// managed run and its baseline each get one, over the group's one set.
+	// No Scenario field says "standalone servers are ServerB", so this row
+	// builds its engines here instead of through execute, the package's run
+	// path, and runs them serial and unprofiled.
 	mixed := func() (*cluster.Cluster, error) {
 		cl, err := sc.buildCluster(ctx)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"nopower/internal/cluster"
 	"nopower/internal/core"
-	"nopower/internal/model"
 	"nopower/internal/report"
 	"nopower/internal/runner"
 	"nopower/internal/thermal"
@@ -53,45 +52,36 @@ func failoverPair(coordinated bool) core.Spec {
 	}
 }
 
+// runFailover runs one stack over a single standalone BladeA server
+// (TopologyFor(1)) at the base budgets, with the RC thermal model
+// integrating the server's power on the engine's OnTick hook.
 func runFailover(ctx context.Context, name string, spec core.Spec, opts Options) (FailoverRow, error) {
 	demand := make([]float64, opts.Ticks)
 	for i := range demand {
 		demand[i] = 1.05 // sustained saturating load
 	}
 	set := &trace.Set{Name: "hot", Traces: []*trace.Trace{trace.New("load", "synthetic", demand)}}
-	cl, err := cluster.New(cluster.Config{
-		Standalone: 1,
-		Model:      model.BladeA(),
-		CapOffGrp:  0.20, CapOffEnc: 0.15, CapOffLoc: 0.10,
-		AlphaV: 0.10, AlphaM: 0.10, MigrationTicks: 10,
-	}, set)
-	if err != nil {
-		return FailoverRow{}, err
-	}
-	eng, _, err := core.Build(cl, spec)
-	if err != nil {
-		return FailoverRow{}, fmt.Errorf("failover %s: %w", name, err)
-	}
-
+	sc := Scenario{Model: "BladeA", Budgets: Base201510(), Ticks: opts.Ticks, Seed: opts.Seed, Traces: set}.normalized()
 	tm := thermal.Default()
 	ts := thermal.NewState(tm)
-	row := FailoverRow{Stack: name}
 	over := 0
-	// Run tick by tick so the thermal model integrates the power signal.
-	for k := 0; k < opts.Ticks; k++ {
-		if _, err := eng.RunContext(ctx, 1); err != nil {
-			return FailoverRow{}, err
-		}
+	integrate := func(k int, cl *cluster.Cluster) {
 		if cl.Power(0) > cl.StaticCap(0) {
 			over++
 		}
 		ts.Step(tm, cl.Power(0), k)
 	}
-	row.ViolationDuty = float64(over) / float64(opts.Ticks)
-	row.PeakTempC = ts.PeakC
-	row.Failover = ts.Tripped()
-	row.PerfLoss = eng.Collector.Finalize(0).PerfLoss
-	return row, nil
+	_, res, err := execute(ctx, sc, spec, ChaosCase{}, nil, Observers{OnTick: integrate}, sc.Ticks)
+	if err != nil {
+		return FailoverRow{}, fmt.Errorf("failover %s: %w", name, err)
+	}
+	return FailoverRow{
+		Stack:         name,
+		ViolationDuty: float64(over) / float64(opts.Ticks),
+		PeakTempC:     ts.PeakC,
+		Failover:      ts.Tripped(),
+		PerfLoss:      res.PerfLoss,
+	}, nil
 }
 
 // Failover renders the §5.1 thermal-failover prototype.

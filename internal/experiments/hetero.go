@@ -9,7 +9,6 @@ import (
 	"nopower/internal/metrics"
 	"nopower/internal/report"
 	"nopower/internal/runner"
-	"nopower/internal/sim"
 	"nopower/internal/tracegen"
 )
 
@@ -123,24 +122,16 @@ type fleetBase struct {
 	acc      *profileAcc
 }
 
-// heteroBaseline mirrors BaselinePower with the per-profile accumulator
-// attached (serial: the decomposition sums per-server columns, and one
-// uncontended run per fleet is cheap).
+// heteroBaseline is BaselinePower with the per-profile accumulator on the
+// engine's OnTick hook.
 func heteroBaseline(ctx context.Context, sc Scenario) (fleetBase, error) {
 	sc = sc.normalized()
-	cl, err := sc.buildCluster(ctx)
-	if err != nil {
-		return fleetBase{}, err
-	}
-	eng := sim.New(cl)
-	eng.Prof = DefaultProfiler()
 	acc := &profileAcc{}
-	eng.OnTick = acc.hook
-	col, err := eng.RunContext(ctx, sc.Ticks)
+	_, res, err := execute(ctx, sc, core.Spec{}, ChaosCase{}, nil, Observers{OnTick: acc.hook}, sc.Ticks)
 	if err != nil {
 		return fleetBase{}, err
 	}
-	return fleetBase{avgPower: col.Finalize(0).AvgPower, acc: acc}, nil
+	return fleetBase{avgPower: res.AvgPower, acc: acc}, nil
 }
 
 // heteroStackRow runs one (fleet, stack) through the identity harness, with

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"nopower/internal/controllers/ec"
+	"nopower/internal/core"
 	"nopower/internal/model"
 	"nopower/internal/report"
 )
@@ -33,21 +35,23 @@ func Models(_ context.Context, opts Options) ([]*report.Table, error) {
 		tables = append(tables, t)
 	}
 
-	// The base-parameter summary (the right-hand column of Fig. 5).
+	// The base-parameter summary (the right-hand column of Fig. 5), read
+	// from the constants and defaults the stack runs with.
+	b, sc, d := Base201510(), Scenario{}.normalized(), core.DefaultPeriods()
 	p := &report.Table{
 		Title:  "Fig. 5 — base design parameters",
 		Header: []string{"Parameter", "Base value"},
 	}
 	for _, row := range [][2]string{
-		{"static local budget CAP_LOC", "10% off server max"},
-		{"static enclosure budget CAP_ENC", "15% off enclosure max"},
-		{"static group budget CAP_GRP", "20% off group max"},
-		{"utilization target r_ref floor", "0.75"},
-		{"virtualization overhead α_V", "10% of VM utilization"},
-		{"migration overhead α_M", "10% during migration window"},
+		{"static local budget CAP_LOC", fmt.Sprintf("%.0f%% off server max", 100*b.Loc)},
+		{"static enclosure budget CAP_ENC", fmt.Sprintf("%.0f%% off enclosure max", 100*b.Enc)},
+		{"static group budget CAP_GRP", fmt.Sprintf("%.0f%% off group max", 100*b.Grp)},
+		{"utilization target r_ref floor", fmt.Sprint(ec.DefaultRRef)},
+		{"virtualization overhead α_V", fmt.Sprintf("%.0f%% of VM utilization", 100*sc.AlphaV)},
+		{"migration overhead α_M", fmt.Sprintf("%.0f%% during migration window", 100*sc.AlphaM)},
 		{"workloads / servers", "180 traces on 180 servers (6x20 blades + 60)"},
-		{"control interval EC/SM/EM/GM/VMC", "1 / 5 / 25 / 50 / 500 ticks"},
-		{"EC gain λ", "0.8 (< 1/r_ref bound)"},
+		{"control interval EC/SM/EM/GM/VMC", fmt.Sprintf("%d / %d / %d / %d / %d ticks", d.EC, d.SM, d.EM, d.GM, d.VMC)},
+		{"EC gain λ", fmt.Sprintf("%v (< 1/r_ref bound)", ec.DefaultLambda)},
 		{"SM gain β_loc", "auto: half the 2/c_max bound per model"},
 	} {
 		p.AddRow(row[0], row[1])

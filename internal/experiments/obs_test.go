@@ -6,6 +6,7 @@ import (
 
 	"nopower/internal/core"
 	"nopower/internal/obs"
+	"nopower/internal/obs/prof"
 	"nopower/internal/tracegen"
 )
 
@@ -86,5 +87,30 @@ func TestRunObservedAttachments(t *testing.T) {
 	}
 	if plain != res {
 		t.Errorf("observed run diverged from plain run:\n  plain    %+v\n  observed %+v", plain, res)
+	}
+}
+
+// The cooling and failover studies run through execute, so the process
+// default profiler (npexp -timeline) records one tick span per tick of
+// each of their runs: five CRAC policies and two stacks.
+func TestDefaultProfilerReachesEveryRun(t *testing.T) {
+	const ticks = 50
+	for name, runs := range map[string]int{"cooling": 5, "failover": 2} {
+		p := prof.New(1 << 15)
+		SetDefaultProfiler(p)
+		_, err := RunExperiment(context.Background(), name, WithTicks(ticks))
+		SetDefaultProfiler(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, s := range p.Spans() {
+			if s.Phase == prof.PhaseTick {
+				got++
+			}
+		}
+		if got != runs*ticks {
+			t.Errorf("%s: %d %s spans, want %d", name, got, prof.PhaseTick, runs*ticks)
+		}
 	}
 }

@@ -115,3 +115,21 @@ func TestExtensionsParallelismBound(t *testing.T) {
 		t.Errorf("%d runner jobs in flight at parallelism 2", peak)
 	}
 }
+
+// E13's base row is fig7's BladeA/180 coordinated run, so a batch of the
+// two starts fewer pool jobs than the two run apart: the shared run and
+// its baseline run once.
+func TestBatchRunsE13BaseRowOnce(t *testing.T) {
+	jobs := func(names ...string) int64 {
+		t.Helper()
+		before := runner.JobCount()
+		if _, err := RunExperiments(context.Background(), names, WithTicks(300)); err != nil {
+			t.Fatal(err)
+		}
+		return runner.JobCount() - before
+	}
+	apart := jobs("fig7") + jobs("extensions")
+	if together := jobs("fig7", "extensions"); together >= apart {
+		t.Errorf("fig7 and extensions started %d pool jobs in one batch, %d apart", together, apart)
+	}
+}

@@ -88,10 +88,11 @@ type Runner func(ctx context.Context, opts Options) ([]*report.Table, error)
 // one-line description `npexp list` prints.
 type experiment struct {
 	name string
-	// run executes an experiment that is not a table experiment.
+	// run executes an experiment that is not a table experiment, or
+	// renders the tables a table experiment adds after its sweep's table.
 	run Runner
-	// sweep is a table experiment's runs and table; RunExperiments runs
-	// the table experiments of a batch as one sweep.
+	// sweep is a table experiment's runs and first table; RunExperiments
+	// runs the sweeps of a batch's table experiments as one sweep.
 	sweep *tableSweep
 	desc  string
 }
@@ -112,7 +113,7 @@ var registry = []experiment{
 	{"failover", Failover, nil, "thermal-failover prototype: EC+SM under sustained load (§5.1)"},
 	{"stability", Stability, nil, "Appendix A: EC and SM stability sweeps"},
 	{"multiseed", nil, &multiSeedSweep, "seed robustness of the headline comparison (beyond the paper)"},
-	{"extensions", Extensions, nil, "§6.1 extensions: VM-level EC, energy-delay objective, CAP, heterogeneity, MIMO"},
+	{"extensions", extensionStudies, &extensionsSweep, "§6.1 extensions: VM-level EC, energy-delay objective, CAP, heterogeneity, MIMO"},
 	{"cooling", Cooling, nil, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
 	{"chaos", Chaos, nil, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},
 	{"replay", Replay, nil, "chaos soak re-run sharded and killed-and-resumed from checkpoints; verifies bitwise identity"},
@@ -170,9 +171,10 @@ func RunExperiment(ctx context.Context, name string, opts ...Option) ([]*report.
 // given and returns their tables in that order. The table experiments
 // among them run as one sweep in one run group (ShareTraces), at the place
 // of the first one: each distinct run and baseline of the batch runs once,
-// and each trace set is synthesized once. Every other experiment runs in a
-// run group of its own. An unknown name fails the call before anything
-// runs, and the first error stops the batch.
+// and each trace set is synthesized once. A table experiment's further
+// tables (E13's) follow its sweep table, each from a run group of its own,
+// as every other experiment runs. An unknown name fails the call before
+// anything runs, and the first error stops the batch.
 func RunExperiments(ctx context.Context, names []string, opts ...Option) ([][]*report.Table, error) {
 	exps := make([]experiment, len(names))
 	var sweeps []tableSweep
@@ -208,8 +210,16 @@ func RunExperiments(ctx context.Context, names []string, opts ...Option) ([][]*r
 			return nil, err
 		}
 		for j := i; j < len(exps); j++ {
-			if exps[j].sweep != nil {
-				out[j], tables = []*report.Table{tables[0]}, tables[1:]
+			if exps[j].sweep == nil {
+				continue
+			}
+			out[j], tables = []*report.Table{tables[0]}, tables[1:]
+			if exps[j].run != nil {
+				more, err := exps[j].run(ShareTraces(ctx), o)
+				if err != nil {
+					return nil, err
+				}
+				out[j] = append(out[j], more...)
 			}
 		}
 	}

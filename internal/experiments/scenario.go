@@ -263,8 +263,10 @@ type Observers struct {
 	Resume *checkpoint.File
 	// OnBuild, when non-nil, receives the built stack's controller handles
 	// before the run starts — the hook CLIs use to pull facility/cooling
-	// summaries out of a run they otherwise only see the Result of. Pure
-	// observation: it must not mutate the handles.
+	// summaries out of a run they otherwise only see the Result of. It may
+	// also configure the built stack before the first tick (E14 sets its
+	// CRAC policy there); a snapshot holds controller state, not that
+	// configuration, so a resumed run must make the same changes.
 	OnBuild func(*core.Handles)
 }
 
@@ -379,27 +381,14 @@ func execute(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, ba
 	return eng, res, res.Valid()
 }
 
-// BaselinePower computes the scenario's no-management average power. The
-// controller-free engine honors the scenario's shard setting — sharding never
-// changes results, so the baseline is identical at any value, just faster on
-// big fleets.
+// BaselinePower computes the scenario's no-management average power: the
+// empty stack, core.Spec{}, run through execute. It honors the scenario's
+// shard setting — sharding never changes results, so the baseline is
+// identical at any value, just faster on big fleets.
 func BaselinePower(ctx context.Context, sc Scenario) (float64, error) {
 	sc = sc.normalized()
-	cl, err := sc.buildCluster(ctx)
-	if err != nil {
-		return 0, err
-	}
-	eng := sim.New(cl)
-	eng.Shards = sc.Shards
-	if eng.Shards == 0 {
-		eng.Shards = DefaultShards()
-	}
-	eng.Prof = DefaultProfiler()
-	col, err := eng.RunContext(ctx, sc.Ticks)
-	if err != nil {
-		return 0, err
-	}
-	return col.Finalize(0).AvgPower, nil
+	_, res, err := execute(ctx, sc, core.Spec{}, ChaosCase{}, nil, Observers{}, sc.Ticks)
+	return res.AvgPower, err
 }
 
 // BaselineKey identifies a scenario's no-management baseline. It covers

@@ -153,8 +153,8 @@ func TestRunKeySpellings(t *testing.T) {
 }
 
 // The batch's counts: fig7–fig10 repeat 12 of their 68 runs, need 12
-// baselines and synthesize 6 trace sets; the ten table experiments run 95
-// of their 125 rows, and every row, shared or not, gets its run's result.
+// baselines and synthesize 6 trace sets; the eleven table experiments run
+// 99 of their 130 rows, and every row, shared or not, gets its run's result.
 func TestSweepPlanCounts(t *testing.T) {
 	opts := Options{Ticks: 100, Parallelism: 2}.normalized()
 	listsOf := func(es ...tableSweep) (lists []runList, rows int) {
@@ -171,8 +171,8 @@ func TestSweepPlanCounts(t *testing.T) {
 	}
 	_, sweeps := tableExperiments()
 	all, rows := listsOf(sweeps...)
-	if pa := plan(all); rows != 125 || len(pa.jobs)-pa.baselines != 95 {
-		t.Errorf("table experiments: %d rows, %d runs; want 125, 95", rows, len(pa.jobs)-pa.baselines)
+	if pa := plan(all); rows != 130 || len(pa.jobs)-pa.baselines != 99 {
+		t.Errorf("table experiments: %d rows, %d runs; want 130, 99", rows, len(pa.jobs)-pa.baselines)
 	}
 	res, err := sweep(context.Background(), opts.Parallelism, all...)
 	if err != nil {
@@ -205,13 +205,13 @@ func renderTables(tables []*report.Table) string {
 	return sb.String()
 }
 
-// One RunExperiments call over the ten table experiments renders exactly
-// the tables of ten RunExperiment calls, serially and on four workers. The
-// batch shares runs across experiments that a lone experiment does not
-// (fig8's coordinated 180 and 60HH rows are fig7's), so a result handed
-// to only the first row with its key shows up here. Pool workers write the
-// shared result and baseline slots, so `make race` repeats this test under
-// the race detector.
+// One RunExperiments call over the eleven table experiments renders
+// exactly the tables of eleven RunExperiment calls, serially and on four
+// workers. The batch shares runs across experiments that a lone experiment
+// does not (fig8's coordinated 180 and 60HH rows are fig7's, and so is
+// E13's base row), so a result handed to only the first row with its key
+// shows up here. Pool workers write the shared result and baseline slots,
+// so `make race` repeats this test under the race detector.
 func TestRunExperimentsMatchesEach(t *testing.T) {
 	names, _ := tableExperiments()
 	for _, parallel := range []int{1, 4} {

@@ -68,14 +68,13 @@ type Weather struct {
 	// MeanC is the daily mean outside-air temperature, °C.
 	MeanC float64
 	// AmpC is the diurnal swing amplitude: the afternoon peak sits at
-	// MeanC+AmpC, the pre-dawn trough at MeanC−AmpC.
+	// MeanC+AmpC, one quarter day into each day, and the pre-dawn trough
+	// at MeanC−AmpC.
 	AmpC float64
 	// TicksPerDay is the diurnal period in ticks.
 	TicksPerDay int
 	// NoiseC is the amplitude of the per-tick uniform noise in [−NoiseC, +NoiseC).
 	NoiseC float64
-	// PhaseRad shifts the sinusoid; zero puts the peak at one quarter day.
-	PhaseRad float64
 	// Seed decorrelates the noise from every other stochastic input.
 	Seed int64
 }
@@ -90,8 +89,7 @@ func (w *Weather) OutsideC(k int) float64 {
 	if day <= 0 {
 		day = 1
 	}
-	phase := 2*math.Pi*float64(k)/day + w.PhaseRad
-	t := w.MeanC + w.AmpC*math.Sin(phase)
+	t := w.MeanC + w.AmpC*math.Sin(2*math.Pi*float64(k)/day)
 	if w.NoiseC > 0 {
 		t += w.NoiseC * (2*rng.Uniform(w.Seed, weatherNoiseSalt, k) - 1)
 	}

@@ -172,30 +172,6 @@ func (c *Collector) Finalize(baselineAvgPower float64) Result {
 	return r
 }
 
-// EnergyKWh converts the run's average power into energy, given the
-// real-time duration of one tick in seconds. The paper motivates average
-// power reduction with electricity cost ("many data centers reporting
-// millions of dollars for annual usage").
-func (r Result) EnergyKWh(tickSeconds float64) float64 {
-	if tickSeconds <= 0 {
-		return 0
-	}
-	hours := float64(r.Ticks) * tickSeconds / 3600
-	return r.AvgPower * hours / 1000
-}
-
-// ElectricityCost prices the run's energy at a $/kWh rate.
-func (r Result) ElectricityCost(tickSeconds, dollarsPerKWh float64) float64 {
-	return r.EnergyKWh(tickSeconds) * dollarsPerKWh
-}
-
-// AnnualSavingsUSD extrapolates the measured savings rate to a year of
-// operation: (baseline − achieved) average Watts priced per kWh.
-func AnnualSavingsUSD(baselineAvgW, achievedAvgW, dollarsPerKWh float64) float64 {
-	deltaKW := (baselineAvgW - achievedAvgW) / 1000
-	return deltaKW * 24 * 365 * dollarsPerKWh
-}
-
 // String renders the result compactly for logs and CLI output.
 func (r Result) String() string {
 	return fmt.Sprintf(

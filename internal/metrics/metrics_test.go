@@ -149,23 +149,6 @@ func TestValidCatchesGarbage(t *testing.T) {
 	}
 }
 
-func TestEnergyAndCost(t *testing.T) {
-	r := Result{Ticks: 3600, AvgPower: 1000} // 1 kW for 3600 one-second ticks
-	if got := r.EnergyKWh(1); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("EnergyKWh = %v, want 1", got)
-	}
-	if got := r.ElectricityCost(1, 0.12); math.Abs(got-0.12) > 1e-12 {
-		t.Errorf("cost = %v", got)
-	}
-	if got := r.EnergyKWh(0); got != 0 {
-		t.Errorf("zero tick duration energy = %v", got)
-	}
-	// 1 kW saved for a year at $0.10/kWh = $876.
-	if got := AnnualSavingsUSD(2000, 1000, 0.10); math.Abs(got-876) > 1e-9 {
-		t.Errorf("annual savings = %v, want 876", got)
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	r := Result{AvgPower: 123.4, PeakPower: 200, PowerSavings: 0.5, PerfLoss: 0.03}
 	s := r.String()

@@ -160,19 +160,3 @@ func (d Distribution) Models(n int) ([]*Model, error) {
 	}
 	return out, nil
 }
-
-// Validate resolves every share and checks the weights without expanding.
-func (d Distribution) Validate() error {
-	if len(d) == 0 {
-		return fmt.Errorf("model: distribution: empty")
-	}
-	for _, s := range d {
-		if err := s.checkWeight(); err != nil {
-			return err
-		}
-		if _, err := Lookup(s.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}

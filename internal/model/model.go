@@ -187,10 +187,6 @@ func (m *Model) Power(p int, r float64) float64 {
 	return m.powC[p]*clamp01(r) + m.powD[p]
 }
 
-// Perf returns the work done per tick at P-state p and utilization r, as a
-// fraction of the full-speed fully-busy work rate: perf = a_p * r.
-func (m *Model) Perf(p int, r float64) float64 { return m.RelFreq(p) * clamp01(r) }
-
 // Capacity returns the compute capacity of P-state p as a fraction of the
 // full-speed capacity. It equals RelFreq; the alias exists because the
 // simulator uses it in the capacity sense (f_p/f_0).

@@ -101,20 +101,6 @@ func TestPowerMonotonicAcrossPStates(t *testing.T) {
 	}
 }
 
-func TestPerfSlopeIsRelativeFrequency(t *testing.T) {
-	for _, m := range allModels() {
-		for p := range m.PStates {
-			want := m.PStates[p].FreqMHz / m.PStates[0].FreqMHz
-			if got := m.Perf(p, 1.0); math.Abs(got-want) > 1e-12 {
-				t.Errorf("%s P%d: Perf(1.0) = %v, want %v", m.Name, p, got, want)
-			}
-			if got := m.Perf(p, 0); got != 0 {
-				t.Errorf("%s P%d: Perf(0) = %v, want 0", m.Name, p, got)
-			}
-		}
-	}
-}
-
 func TestQuantizeNearest(t *testing.T) {
 	m := BladeA()
 	cases := []struct {

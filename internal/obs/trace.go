@@ -93,13 +93,12 @@ func Multi(ts ...Tracer) Tracer {
 }
 
 // RingRecorder keeps the most recent events in a fixed-capacity ring buffer
-// — the in-memory flight recorder attached by tests and the CLIs.
+// — the in-memory sink tests attach to read a run's events back.
 type RingRecorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
-	dropped int64
+	mu   sync.Mutex
+	buf  []Event
+	next int
+	full bool
 }
 
 // DefaultRingCapacity bounds a RingRecorder built with capacity <= 0.
@@ -117,9 +116,6 @@ func NewRingRecorder(capacity int) *RingRecorder {
 // Emit implements Tracer.
 func (r *RingRecorder) Emit(e Event) {
 	r.mu.Lock()
-	if r.full {
-		r.dropped++
-	}
 	r.buf[r.next] = e
 	r.next++
 	if r.next == len(r.buf) {
@@ -150,34 +146,14 @@ func (r *RingRecorder) Len() int {
 	return r.next
 }
 
-// Dropped reports how many events were overwritten because the ring was
-// full — the signal that the capacity is too small for the run.
-func (r *RingRecorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// RegisterMetrics publishes the recorder's loss telemetry on reg as
-// np_obs_trace_dropped_total{sink="ring"} — silent trace loss turned into a
-// scrapeable signal. A nil reg registers on Default.
-func (r *RingRecorder) RegisterMetrics(reg *Registry) {
-	if reg == nil {
-		reg = Default
-	}
-	reg.CounterFunc(SeriesName("np_obs_trace_dropped_total", "sink", "ring"),
-		func() float64 { return float64(r.Dropped()) })
-}
-
 // NDJSONWriter streams events as newline-delimited JSON, one object per
 // line — the on-disk trace format (`npsim -trace out.ndjson`). The first
 // write error is retained and later events are dropped.
 type NDJSONWriter struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	n       int64
-	dropped int64
-	err     error
+	mu  sync.Mutex
+	enc *json.Encoder
+	n   int64
+	err error
 }
 
 // NewNDJSONWriter wraps a writer.
@@ -190,12 +166,10 @@ func (w *NDJSONWriter) Emit(e Event) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		w.dropped++
 		return
 	}
 	if err := w.enc.Encode(e); err != nil {
 		w.err = err
-		w.dropped++
 		return
 	}
 	w.n++
@@ -208,33 +182,11 @@ func (w *NDJSONWriter) Count() int64 {
 	return w.n
 }
 
-// Dropped reports how many events were lost to write errors: the event
-// that surfaced the first error plus every event arriving after it.
-func (w *NDJSONWriter) Dropped() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.dropped
-}
-
 // Err returns the first write error, if any.
 func (w *NDJSONWriter) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
-}
-
-// RegisterMetrics publishes the writer's loss telemetry on reg as
-// np_obs_trace_dropped_total{sink="ndjson"} (events lost to write errors)
-// and np_obs_trace_written_total{sink="ndjson"}. A nil reg registers on
-// Default.
-func (w *NDJSONWriter) RegisterMetrics(reg *Registry) {
-	if reg == nil {
-		reg = Default
-	}
-	reg.CounterFunc(SeriesName("np_obs_trace_dropped_total", "sink", "ndjson"),
-		func() float64 { return float64(w.Dropped()) })
-	reg.CounterFunc(SeriesName("np_obs_trace_written_total", "sink", "ndjson"),
-		func() float64 { return float64(w.Count()) })
 }
 
 // ReadEvents parses an NDJSON event stream (the NDJSONWriter format),

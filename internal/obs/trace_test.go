@@ -22,9 +22,6 @@ func TestRingRecorderRetainsAndWraps(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
 	}
-	if r.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", r.Dropped())
-	}
 	got := r.Events()
 	for i, e := range got {
 		if e.Tick != i+2 {
@@ -36,8 +33,8 @@ func TestRingRecorderRetainsAndWraps(t *testing.T) {
 func TestRingRecorderPartial(t *testing.T) {
 	r := NewRingRecorder(0) // default capacity
 	r.Emit(ev(7, "SM", ActRRef, 3, 0.75, 0.9))
-	if r.Len() != 1 || r.Dropped() != 0 {
-		t.Fatalf("Len %d Dropped %d", r.Len(), r.Dropped())
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", r.Len())
 	}
 	e := r.Events()[0]
 	if e.Controller != "SM" || e.Actuator != ActRRef || e.Target != 3 || e.New != 0.9 {
@@ -142,36 +139,6 @@ func TestNDJSONWriterDropped(t *testing.T) {
 	}
 	if w.Err() == nil {
 		t.Error("Err should surface the write failure")
-	}
-	if w.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", w.Dropped())
-	}
-}
-
-func TestTraceRegisterMetrics(t *testing.T) {
-	reg := NewRegistry()
-	ring := NewRingRecorder(2)
-	ring.RegisterMetrics(reg)
-	w := NewNDJSONWriter(failAfter(1))
-	w.RegisterMetrics(reg)
-	for i := 0; i < 3; i++ {
-		e := ev(i, "EC", ActPState, 0, 0, 1)
-		ring.Emit(e)
-		w.Emit(e)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`np_obs_trace_dropped_total{sink="ring"} 1`,
-		`np_obs_trace_dropped_total{sink="ndjson"} 2`,
-		`np_obs_trace_written_total{sink="ndjson"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -178,13 +178,13 @@ func (Priority) Divide(dst []float64, total float64, children []Child) []float64
 }
 
 // History shares proportionally to an exponentially-weighted moving average
-// of each child's power, smoothing out transients. The zero value uses
-// alpha 0.3.
+// of each child's power, smoothing out transients.
 type History struct {
-	// Alpha is the EWMA smoothing factor in (0,1]; 0 defaults to 0.3.
-	Alpha float64
-	ewma  map[int]float64
+	ewma map[int]float64
 }
+
+// historyAlpha is History's EWMA smoothing factor.
+const historyAlpha = 0.3
 
 // Name implements Division.
 func (*History) Name() string { return "history" }
@@ -192,10 +192,6 @@ func (*History) Name() string { return "history" }
 // Divide implements Division: the weights go into dst, and each becomes its
 // share in place.
 func (h *History) Divide(dst []float64, total float64, children []Child) []float64 {
-	alpha := h.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
 	if h.ewma == nil {
 		h.ewma = make(map[int]float64)
 	}
@@ -206,7 +202,7 @@ func (h *History) Divide(dst []float64, total float64, children []Child) []float
 		if !ok {
 			prev = c.Power
 		}
-		cur := float64(alpha*c.Power) + float64((1-alpha)*prev)
+		cur := float64(historyAlpha*c.Power) + float64((1-historyAlpha)*prev)
 		h.ewma[c.ID] = cur
 		w := cur
 		if floor := floorFrac * c.MaxPower; w < floor {

@@ -133,7 +133,7 @@ func TestRandomSeededDeterministic(t *testing.T) {
 }
 
 func TestHistorySmoothes(t *testing.T) {
-	h := &History{Alpha: 0.5}
+	h := &History{}
 	steady := []Child{{ID: 0, Power: 100, MaxPower: 100}, {ID: 1, Power: 100, MaxPower: 100}}
 	h.Divide(nil, 200, steady)
 	// Child 0 spikes to 0; EWMA should keep it above the floor-weight level.

@@ -60,8 +60,6 @@ type Config struct {
 	MemLowBytes  uint64
 	// MemCheckEvery is the janitor's sampling period (0 = 250ms).
 	MemCheckEvery time.Duration
-	// Registry receives the server's metrics (nil = a fresh registry).
-	Registry *obs.Registry
 
 	// memBytes overrides the janitor's heap probe in tests.
 	memBytes func() uint64
@@ -105,9 +103,6 @@ type Server struct {
 // its latest checkpoint) and starts the memory-pressure janitor when the
 // watermarks are set.
 func New(cfg Config) (*Server, error) {
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 500
 	}
@@ -120,7 +115,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		reg:        cfg.Registry,
+		reg:        obs.NewRegistry(),
 		pool:       runner.NewPool(ctx, cfg.Workers),
 		cache:      &runner.Cache[string, Output]{},
 		baselines:  &runner.Cache[experiments.BaselineKey, float64]{},

@@ -81,11 +81,10 @@ type ctlProf struct {
 
 // wireProfiling resolves the profiler side of wireObservability: the tee,
 // the per-controller phases and epoch periods, the plant hook, and the
-// runtime-metrics baseline. Called under the same fingerprint as the rest
-// of the wiring, so swapping Prof (or the stack) between runs re-resolves
-// everything.
+// runtime-metrics baseline. It runs at the start of every run with the
+// rest of the wiring, so swapping Prof (or the stack) between runs
+// re-resolves everything.
 func (e *Engine) wireProfiling() {
-	e.wiredProf = e.Prof
 	if e.Prof == nil {
 		e.profRec = nil
 		e.ctlProf = nil

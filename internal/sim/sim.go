@@ -9,7 +9,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"reflect"
 	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -79,18 +78,18 @@ type Engine struct {
 	// OnTick, if set, is invoked after each plant advance — the hook for
 	// time-series recorders and custom probes.
 	OnTick func(k int, cl *cluster.Cluster)
-	// Tracer, if set before the first Run, receives structured actuation
+	// Tracer, if set before a run, receives structured actuation
 	// events from every Traceable controller. Within a tick every event is
 	// emitted before Collector.Observe sees the advanced plant, so a trace
 	// always explains the sample that follows it. Nil disables tracing (the
 	// zero-overhead default).
 	Tracer obs.Tracer
-	// Metrics, if set before the first Run, streams live runtime telemetry
+	// Metrics, if set before a run, streams live runtime telemetry
 	// into the registry: per-controller tick latency and counts, group
 	// power, servers-on, and budget-violation counters — the signals the
 	// Collector only reports at Finalize, available mid-run on /metrics.
 	Metrics *obs.Registry
-	// Prof, if set before the first Run, records a per-phase timeline of
+	// Prof, if set before a run, records a per-phase timeline of
 	// every tick into a preallocated span ring: one sim.tick span per tick,
 	// ctl.<Name> spans on each controller's epoch ticks, the plant's
 	// demand-row/advance/reduce internals, per-worker shard spans, observer
@@ -128,11 +127,6 @@ type Engine struct {
 
 	tick           int
 	aux            []auxEntry
-	obsWired       bool
-	wiredCtls      []Controller
-	wiredMetrics   *obs.Registry
-	wiredTracer    bool
-	wiredProf      *prof.Profiler
 	runFn          func(n int, fn func(u int))
 	ctl            []ctlInstr
 	disabled       []bool // controllers knocked out by FaultDegrade
@@ -179,27 +173,18 @@ type ctlInstr struct {
 }
 
 // wireObservability injects the tracer into Traceable controllers and
-// resolves the metric handles. Called from RunContext so callers can set the
-// fields any time before the first tick. The wiring is fingerprinted against
-// the controller stack and the observability fields, so a stack replaced
-// between runs (rebuilt after a snapshot restore, trimmed after degraded
-// mode) is re-wired instead of reporting latency/ticks under the old run's
-// controller labels.
+// resolves the metric handles and the profiler. RunContext calls it at the
+// start of every run, so callers can set the fields, or replace the stack
+// (rebuilt after a snapshot restore, trimmed after degraded mode), any time
+// between runs.
 func (e *Engine) wireObservability() {
-	if e.obsCurrent() {
-		return
-	}
-	if e.obsWired && len(e.wiredCtls) != len(e.Controllers) && len(e.disabled) != len(e.Controllers) {
-		// A different-shaped stack invalidates the per-index fault masks too —
-		// unless a mask of the new shape was just installed (RestoreSnapshot
-		// sets it after the caller swaps in the rebuilt stack), in which case
-		// it describes the new stack and must survive the rewire.
+	if len(e.disabled) != len(e.Controllers) {
+		// The fault masks describe a stack by index, so a mask of another
+		// shape belongs to a replaced stack; a mask of this shape is this
+		// stack's degraded mode, or RestoreSnapshot installed it for the
+		// rebuilt stack.
 		e.disabled, e.failsafeBroken = nil, nil
 	}
-	e.obsWired = true
-	e.wiredCtls = append(e.wiredCtls[:0], e.Controllers...)
-	e.wiredMetrics = e.Metrics
-	e.wiredTracer = e.Tracer != nil
 	if e.runFn == nil {
 		e.runFn = e.runUnits
 	}
@@ -233,40 +218,6 @@ func (e *Engine) wireObservability() {
 	e.mViolSM = e.Metrics.Counter(`np_sim_budget_violations_total{level="sm"}`)
 	e.mViolEM = e.Metrics.Counter(`np_sim_budget_violations_total{level="em"}`)
 	e.mViolGM = e.Metrics.Counter(`np_sim_budget_violations_total{level="gm"}`)
-}
-
-// obsCurrent reports whether the existing wiring still matches the engine's
-// stack and observability fields. Controllers are compared by identity;
-// tracers only by nil-ness (a tracer's dynamic type — e.g. a multi-tracer
-// slice — need not be comparable).
-func (e *Engine) obsCurrent() bool {
-	if !e.obsWired || e.wiredMetrics != e.Metrics || e.wiredTracer != (e.Tracer != nil) ||
-		e.wiredProf != e.Prof {
-		return false
-	}
-	if len(e.wiredCtls) != len(e.Controllers) {
-		return false
-	}
-	for i, c := range e.Controllers {
-		if !sameController(e.wiredCtls[i], c) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameController reports whether two stack slots hold the same controller.
-// Non-comparable implementations (legal, if unusual) can't prove identity,
-// so they conservatively force a rewire.
-func sameController(a, b Controller) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	ta := reflect.TypeOf(a)
-	if ta != reflect.TypeOf(b) || !ta.Comparable() {
-		return false
-	}
-	return a == b
 }
 
 // observeMetrics streams the advanced tick's fleet aggregate into the

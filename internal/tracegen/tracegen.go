@@ -80,16 +80,6 @@ func Classes() []Class {
 	}
 }
 
-// ClassByName resolves a workload class; nil if unknown.
-func ClassByName(name string) *Class {
-	for _, c := range Classes() {
-		if c.Name == name {
-			return &c
-		}
-	}
-	return nil
-}
-
 // Params controls generation of one trace set.
 type Params struct {
 	// Ticks is the trace length.

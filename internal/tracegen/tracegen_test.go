@@ -90,15 +90,6 @@ func TestClassesCycleThroughSet(t *testing.T) {
 	}
 }
 
-func TestClassByName(t *testing.T) {
-	if c := ClassByName("web"); c == nil || c.Name != "web" {
-		t.Error("web class should resolve")
-	}
-	if ClassByName("nope") != nil {
-		t.Error("unknown class should be nil")
-	}
-}
-
 // The paper: "Most of our workload traces ... show relatively low utilization
 // (15-50% in most cases)". The 180 mix must land in that envelope.
 func TestMix180UtilizationEnvelope(t *testing.T) {
@@ -241,7 +232,10 @@ func TestDiurnalShapePresent(t *testing.T) {
 }
 
 func TestBusinessHoursPlateau(t *testing.T) {
-	cls := *ClassByName("remotedesktop")
+	cls := Classes()[3]
+	if cls.Name != "remotedesktop" {
+		t.Fatalf("class 3 = %s, want remotedesktop", cls.Name)
+	}
 	cls.NoiseSigma = 0
 	cls.BurstProb = 0
 	p := Params{Ticks: 1000, TicksPerDay: 1000, Seed: 5, Level: 1}
